@@ -26,9 +26,9 @@ let heading title = Printf.printf "\n==== %s ====\n\n" title
 let now () = Vhdl_util.Unix_compat.now ()
 
 (* Every measured experiment pushes its sample here; the run's samples
-   are serialized to the canonical BENCH_report.json at exit, so any two
-   bench runs can be diffed with `vhdlc bench --against`-style tooling
-   (Perf.Diff) instead of eyeballing stdout. *)
+   are serialized to BENCH_paper.json (the canonical report schema) at
+   exit, so any two bench runs can be diffed with `vhdlc bench
+   --against`-style tooling (Perf.Diff) instead of eyeballing stdout. *)
 let collected : Perf.Sample.t list ref = ref []
 
 let collect sample =
@@ -327,19 +327,7 @@ let cascade () =
   let results =
     Bechamel_util.run_tests ~quota:1.0
       [
-        (* cold cascade: the ablation measures the cascade's parse+eval
-           cost itself, which the LEF→tree memo would otherwise hide
-           after the first repetition *)
         Test.make ~name:"cascade (LEF + expression AG)"
-          (Staged.stage (fun () ->
-               Expr_eval.with_cold_cascade (fun () ->
-                   Session.with_session session (fun () ->
-                       List.iter
-                         (fun src ->
-                           let lef = Cascade_driver.classify_tokens ~env (Lexer.tokenize src) in
-                           ignore (Expr_eval.eval ~level:0 ~line:1 lef))
-                         exprs))));
-        Test.make ~name:"cascade (warm memo)"
           (Staged.stage (fun () ->
                Session.with_session session (fun () ->
                    List.iter
@@ -401,6 +389,34 @@ let sim_throughput () =
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmark suite *)
 
+(* One behavioral design through the principal AG, parsed and evaluated
+   afresh per call; [drive plan ev] chooses the evaluation strategy. *)
+let principal_evaluation drive =
+  let g = Main_grammar.grammar () in
+  let parser_ = Main_grammar.parser_ () in
+  let plan = Analysis.plan (Analysis.compute g) in
+  let session = Session.in_memory [] in
+  let src = Workload.behavioral ~name:"EV" ~states:8 ~exprs:15 in
+  fun () ->
+    Session.with_session session (fun () ->
+        let tokens = Front_analyze.tokens_of_source src in
+        let tree = Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens in
+        let ev =
+          Evaluator.create
+            ~token_line:(fun n -> Pval.Int n)
+            g
+            ~root_inherited:
+              [
+                ("ENV", Pval.Env Env.empty); ("LEVEL", Pval.Int (-1));
+                ("UNITNAME", Pval.Str "WORK.X"); ("CTX", Pval.Str "arch");
+                ("SLOTBASE", Pval.Int 0); ("SIGBASE", Pval.Int 0);
+                ("LOOPDEPTH", Pval.Int 0); ("RETTY", Pval.Opt None);
+                ("CTXOUT", Pval.Out Pval.out_empty); ("NLINES", Pval.Int 50);
+              ]
+            tree
+        in
+        drive plan ev)
+
 let micro () =
   heading "Bechamel microbenchmarks (one Test.make per table/figure)";
   let behav = Workload.behavioral ~name:"MB" ~states:10 ~exprs:20 in
@@ -425,69 +441,22 @@ let micro () =
           (Staged.stage (fun () -> ignore (Analysis.compute (Expr_eval.grammar ()))));
         Test.make ~name:"cascade/cascade"
           (Staged.stage (fun () ->
-               (* cold: measure parse+eval, not memo hits *)
-               Expr_eval.with_cold_cascade (fun () ->
-                   Session.with_session session (fun () ->
-                       List.iter
-                         (fun src ->
-                           let lef = Cascade_driver.classify_tokens ~env (Lexer.tokenize src) in
-                           ignore (Expr_eval.eval ~level:0 ~line:1 lef))
-                         exprs))));
+               Session.with_session session (fun () ->
+                   List.iter
+                     (fun src ->
+                       let lef = Cascade_driver.classify_tokens ~env (Lexer.tokenize src) in
+                       ignore (Expr_eval.eval ~level:0 ~line:1 lef))
+                     exprs)));
         Test.make ~name:"cascade/united"
           (Staged.stage (fun () ->
                Session.with_session session (fun () ->
                    List.iter (fun src -> ignore (United.eval_string ~env ~level:0 src)) exprs)));
         Test.make ~name:"evaluator/demand"
           (Staged.stage
-             (let g = Main_grammar.grammar () in
-              let parser_ = Main_grammar.parser_ () in
-              let session = Session.in_memory [] in
-              let src = Workload.behavioral ~name:"EV" ~states:8 ~exprs:15 in
-              fun () ->
-                Session.with_session session (fun () ->
-                    let tokens = Front_analyze.tokens_of_source src in
-                    let tree = Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens in
-                    let ev =
-                      Evaluator.create
-                        ~token_line:(fun n -> Pval.Int n)
-                        g
-                        ~root_inherited:
-                          [
-                            ("ENV", Pval.Env Env.empty); ("LEVEL", Pval.Int (-1));
-                            ("UNITNAME", Pval.Str "WORK.X"); ("CTX", Pval.Str "arch");
-                            ("SLOTBASE", Pval.Int 0); ("SIGBASE", Pval.Int 0);
-                            ("LOOPDEPTH", Pval.Int 0); ("RETTY", Pval.Opt None);
-                            ("CTXOUT", Pval.Out Pval.out_empty); ("NLINES", Pval.Int 50);
-                          ]
-                        tree
-                    in
-                    ignore (Evaluator.goal ev "UNITS"))));
-        Test.make ~name:"evaluator/staged"
+             (principal_evaluation (fun _ ev -> ignore (Evaluator.goal ev "UNITS"))));
+        Test.make ~name:"evaluator/plan"
           (Staged.stage
-             (let g = Main_grammar.grammar () in
-              let parser_ = Main_grammar.parser_ () in
-              let partitions = Analysis.visit_partitions (Analysis.compute g) in
-              let session = Session.in_memory [] in
-              let src = Workload.behavioral ~name:"EV" ~states:8 ~exprs:15 in
-              fun () ->
-                Session.with_session session (fun () ->
-                    let tokens = Front_analyze.tokens_of_source src in
-                    let tree = Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens in
-                    let ev =
-                      Evaluator.create
-                        ~token_line:(fun n -> Pval.Int n)
-                        g
-                        ~root_inherited:
-                          [
-                            ("ENV", Pval.Env Env.empty); ("LEVEL", Pval.Int (-1));
-                            ("UNITNAME", Pval.Str "WORK.X"); ("CTX", Pval.Str "arch");
-                            ("SLOTBASE", Pval.Int 0); ("SIGBASE", Pval.Int 0);
-                            ("LOOPDEPTH", Pval.Int 0); ("RETTY", Pval.Opt None);
-                            ("CTXOUT", Pval.Out Pval.out_empty); ("NLINES", Pval.Int 50);
-                          ]
-                        tree
-                    in
-                    ignore (Evaluator.evaluate_staged ev ~partitions))));
+             (principal_evaluation (fun plan ev -> ignore (Evaluator.evaluate_plan ev ~plan))));
         Test.make ~name:"fig2/lalr-table-expr-grammar"
           (Staged.stage (fun () ->
                ignore (Parsing.create ~name:"bench" (Expr_grammar.build ()) ~eof:"LEOF")));
@@ -562,11 +531,13 @@ let all () =
   micro ()
 
 (* ------------------------------------------------------------------ *)
-(* Result file: every run leaves one canonical BENCH_report.json (the
+(* Result file: every run leaves one canonical BENCH_paper.json (the
    lib/perf schema: per-experiment repetition times, median/MAD/CI, GC
    and telemetry-counter deltas, machine/commit metadata), so any two
    runs — here or from `vhdlc bench` — diff with the same noise-aware
-   gate instead of being eyeballed from stdout. *)
+   gate instead of being eyeballed from stdout.  It is deliberately not
+   BENCH_report.json: run from the repo root, that name would overwrite
+   the baseline tools/bench_gate.sh gates against. *)
 
 module Telemetry = Vhdl_telemetry.Telemetry
 
@@ -594,7 +565,7 @@ let run_experiment label f =
       ~meta:[ ("suite", label) ]
       (List.rev (harness :: !collected))
   in
-  let path = "BENCH_report.json" in
+  let path = "BENCH_paper.json" in
   Perf.Report.save path report;
   Printf.printf "\n[%s: %d experiment samples written to %s]\n" label
     (List.length (harness :: !collected))

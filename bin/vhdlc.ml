@@ -158,9 +158,9 @@ let compile_cmd =
       & info [ "reference" ]
           ~doc:
             "Compile on the reference path: demand-driven evaluation with \
-             copy elision off and the cascade's parse-tree memo bypassed — \
-             the oracle the plan-based default is differentially tested \
-             against. Slower; results must be identical.")
+             copy elision off in both attribute grammars — the oracle the \
+             plan-based default is differentially tested against. Slower; \
+             results must be identical.")
   in
   let run work refs phases report profile_rules reference trace flame
       flame_alloc metrics metrics_out fuel deadline files =

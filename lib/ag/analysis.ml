@@ -8,7 +8,7 @@
       the paper's §5.2 "a change in one production can combine with a far
       removed production to produce a circularity"),
     - per-symbol visit partitions, giving the "max visits" statistic of the
-      §4.1 table and driving the staged evaluator. *)
+      §4.1 table and the static plan that drives the plan evaluator. *)
 
 type occ = Grammar.occurrence
 

@@ -5,7 +5,8 @@
     - the IO/OI induced-dependency fixpoint giving the polynomial
       {e strong noncircularity} test;
     - per-symbol visit partitions, yielding the "max visits" statistic of
-      the paper's §4.1 table and driving {!Evaluator.evaluate_staged}. *)
+      the paper's §4.1 table and the static {!plan} that drives
+      {!Evaluator.evaluate_plan}. *)
 
 type 'v t
 

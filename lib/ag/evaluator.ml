@@ -6,11 +6,10 @@
     paper's observation that the AG author "only describes what information
     we want to know" and scheduling is the evaluator's problem.
 
-    A staged evaluator is also provided: it forces attributes pass by pass
-    following the visit partitions computed by {!Analysis}, which is how a
-    plan-based (Linguist-style) evaluator would proceed.  Both produce
-    identical values; the staged form exists for the visit statistics and
-    the evaluator-strategy bench. *)
+    The production driver is {!evaluate_plan}: it forces attributes pass
+    by pass following the static plan computed by {!Analysis.plan}, which
+    is how a Linguist-style evaluator proceeds.  Both produce identical
+    values; demand evaluation is kept as the differential oracle. *)
 
 module Tm = Vhdl_telemetry.Telemetry
 
@@ -304,41 +303,6 @@ let goal t name =
 
 (** Number of semantic-rule applications so far (bench instrumentation). *)
 let rule_applications t = t.rule_applications
-
-(* ------------------------------------------------------------------ *)
-(* Staged (pass-based) evaluation *)
-
-(** Force every attribute of every node, proceeding bottom-up pass by pass
-    over partitions: partition [k] of each symbol is forced during pass [k].
-    [partitions] maps a symbol id to the list of (attr, pass) assignments as
-    computed by {!Analysis.visit_partitions}.  Returns the number of passes
-    executed. *)
-let evaluate_staged t ~partitions =
-  let max_pass = ref 1 in
-  Array.iter
-    (fun assignments ->
-      List.iter (fun (_, pass) -> if pass > !max_pass then max_pass := pass) assignments)
-    partitions;
-  for pass = 1 to !max_pass do
-    Tm.incr m_staged_passes;
-    let visits = ref 0 in
-    let rec walk node =
-      Array.iter walk node.n_children;
-      if node.n_prod >= 0 then begin
-        incr visits;
-        let p = Grammar.production t.grammar node.n_prod in
-        let sym = p.Grammar.lhs in
-        List.iter
-          (fun (attr, attr_pass) ->
-            if attr_pass = pass then ignore (eval_node t node attr))
-          partitions.(sym)
-      end
-    in
-    walk t.root;
-    Tm.add m_staged_visits !visits;
-    Tm.observe m_visits_per_pass (float_of_int !visits)
-  done;
-  !max_pass
 
 (* ------------------------------------------------------------------ *)
 (* Plan-based evaluation *)

@@ -2,9 +2,9 @@
 
     Demand-driven and memoizing: asking for any attribute triggers exactly
     the semantic-rule applications its value transitively depends on, each
-    at most once.  A staged (plan-based) variant forces attributes pass by
-    pass following {!Analysis.visit_partitions}, the way Linguist's
-    generated evaluators proceed. *)
+    at most once.  {!evaluate_plan} forces attributes pass by pass
+    following {!Analysis.plan}, the way Linguist's generated evaluators
+    proceed. *)
 
 type 'v t
 
@@ -58,12 +58,6 @@ val goal : 'v t -> string -> 'v
 
 val rule_applications : 'v t -> int
 (** Semantic-rule applications so far (bench instrumentation). *)
-
-val evaluate_staged : 'v t -> partitions:(int * int) list array -> int
-(** Force every attribute pass by pass following per-symbol visit
-    partitions; returns the number of passes run.  Values agree with demand
-    evaluation.  (Superseded by {!evaluate_plan} on the hot path; kept for
-    the visit statistics and the strategy-agreement tests.) *)
 
 val evaluate_all : 'v t -> unit
 (** Force every declared attribute of every node (demand order). *)

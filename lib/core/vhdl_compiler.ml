@@ -31,11 +31,11 @@ let m_compiles_staged = Telemetry.counter "compile.runs_staged"
 
 (** How the principal AG is evaluated during [compile].  [Staged] (the
     default) drives each design unit through the static plan computed once
-    per grammar by {!Analysis.plan} — copy rules elided, the cascade's
-    LEF→tree memo warm — the way a Linguist-generated (plan-based)
-    evaluator proceeds.  [Demand] is the reference path: goal-directed
-    memoizing evaluation with copy elision off and the cascade memo
-    bypassed, demoted to the fuzz-oracle role.  Both must produce identical
+    per grammar by {!Analysis.plan} — copy rules elided — the way a
+    Linguist-generated (plan-based) evaluator proceeds.  [Demand] is the
+    reference path: goal-directed memoizing evaluation with copy elision
+    off in both AGs (the session's [copy_elide]), demoted to the
+    fuzz-oracle role.  Both must produce identical
     results — the differential fuzzer ([lib/difftest]) holds them to
     that. *)
 type strategy =
@@ -99,6 +99,7 @@ let session t : Session.t =
     known_library =
       (fun lib -> lib = "WORK" || lib = "STD" || Library.resolve_library t.work lib <> None);
     subprogs = Hashtbl.create 64;
+    copy_elide = t.strategy = Staged;
   }
 
 let work_library t = t.work
@@ -290,7 +291,7 @@ let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
             ~token_line:(fun n -> Pval.Int n)
             ?fuel:t.budgets.Supervisor.eval_fuel
             ~tick:(fun () -> Supervisor.check clock)
-            ~copy_elide:(t.strategy = Staged)
+            ~copy_elide:session.Session.copy_elide
             ?provenance:
               (Option.map (fun r -> (r, "vhdl", Pval.summary)) t.provenance)
             grammar
@@ -311,15 +312,6 @@ let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
         in
         let units, msgs, report =
           Timer.time t.timer "attribute evaluation" (fun () ->
-              (* a Demand compiler is the differential oracle's reference
-                 side: it must not share cached cascade artifacts (or copy
-                 elision) with the fast path it is checked against *)
-              let cascade_mode f =
-                match t.strategy with
-                | Demand -> Expr_eval.with_cold_cascade f
-                | Staged -> f ()
-              in
-              cascade_mode @@ fun () ->
               (* with a recorder armed, make it ambient for the whole
                  evaluation so the expression-AG cascade records into it
                  too — the explain chain crosses the AG boundary *)

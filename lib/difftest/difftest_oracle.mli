@@ -1,13 +1,13 @@
 (** The dual-evaluator differential oracle.
 
     Each design is compiled twice — once on the [Demand] reference path
-    (goal-directed memoizing evaluation, cold cascade, no copy elision),
+    (goal-directed memoizing evaluation, no copy elision in either AG),
     once on the [Staged] default (per-unit {!Analysis.plan} runs with
-    copy elision and the warm LEF→tree memo) — then both results are
-    elaborated and simulated to a bounded horizon.  The oracle asserts
-    identical compiled unit keys, identical human-readable VIF for every
-    unit, identical diagnostics, and identical simulation traces,
-    assert/report output, and kernel outcome. *)
+    copy elision) — then both results are elaborated and simulated to a
+    bounded horizon.  The oracle asserts identical compiled unit keys,
+    identical human-readable VIF for every unit, identical diagnostics,
+    and identical simulation traces, assert/report output, and kernel
+    outcome. *)
 
 (** What one strategy produced (everything rendered to strings so the two
     sides compare structurally). *)

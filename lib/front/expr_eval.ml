@@ -26,48 +26,8 @@ module Timer = Vhdl_util.Phase_timer
 
 let m_evaluations = Tm.counter "cascade.evaluations"
 let m_lef_tokens = Tm.counter "cascade.lef_tokens"
-let m_reparses = Tm.counter "cascade.reparses"
 let m_parse_errors = Tm.counter "cascade.parse_errors"
-let m_memo_hits = Tm.counter "cascade.memo_hits"
-let m_memo_misses = Tm.counter "cascade.memo_misses"
-let m_memo_evictions = Tm.counter "cascade.memo_evictions"
 let m_expr_lef_tokens = Tm.histogram "cascade.expr_lef_tokens"
-
-(* ------------------------------------------------------------------ *)
-(* The LEF→parse-tree memo cache.
-
-   Telemetry used to show cascade.reparses == cascade.evaluations: every
-   maximal expression re-ran the LALR parser on its token list at every
-   evaluation, although designs repeat the same expressions constantly
-   (clock edges, enable terms, loop bounds).  The parse tree is a pure
-   function of the token list — context ([?expected], [~level]) enters
-   only at attribute-evaluation and selection time, and [Evaluator.create]
-   re-attaches fresh mutable nodes around the immutable [Tree.t] on every
-   use — so the tree can be cached under a structural content key
-   ({!Lef.content_key}: terminal kinds + payloads + lines; [eval] and
-   [eval_range] get distinct keyspaces so the two entry points never
-   alias).
-
-   The cache is process-global, like the grammar and parse tables it
-   derives from.  Eviction is generational: past [memo_limit] distinct
-   expressions the whole table is dropped (counted by
-   cascade.memo_evictions) — bounded memory, no LRU bookkeeping on the hot
-   path.  Parse failures are never cached.  [with_cold_cascade] bypasses
-   the cache (and copy elision in the expression AG) dynamically: the
-   differential oracle's reference side must not share cached artifacts
-   with the fast path it is checking. *)
-
-let memo_limit = 512
-let memo : (string, Pval.t Tree.t) Hashtbl.t = Hashtbl.create 256
-let memo_size () = Hashtbl.length memo
-let clear_memo () = Hashtbl.reset memo
-
-let cascade_warm = ref true
-
-let with_cold_cascade f =
-  let saved = !cascade_warm in
-  cascade_warm := false;
-  Fun.protect ~finally:(fun () -> cascade_warm := saved) f
 
 (* Time spent here is charged to its own phase of the ambient compile timer
    — the nested-frame accounting in Phase_timer carves it out of "attribute
@@ -98,49 +58,24 @@ type parse_outcome =
   | Parsed of Pval.t Tree.t
   | Syntax of { eline : int; found : string }
 
-(* Parse [lef] through the memo cache: a hit returns the cached immutable
-   tree without touching the parser; a miss parses, and caches successes. *)
-let parse_cached t ~keyspace lef =
+let parse t lef =
   let n = List.length lef in
   Tm.add m_lef_tokens n;
   Tm.observe m_expr_lef_tokens (float_of_int n);
-  let key =
-    if !cascade_warm then Lef.content_key ~keyspace lef else None
-  in
-  match Option.bind key (Hashtbl.find_opt memo) with
-  | Some tree ->
-    Tm.incr m_memo_hits;
-    Parsed tree
-  | None -> (
-    if key <> None then Tm.incr m_memo_misses;
-    let tokens = driver_tokens t lef in
-    Tm.incr m_reparses;
-    match Parsing.parse_list t.parser_ ~eof_value:Pval.Unit tokens with
-    | exception Vhdl_lalr.Driver.Syntax_error { line = eline; found; _ } ->
-      Tm.incr m_parse_errors;
-      Syntax { eline; found }
-    | tree ->
-      (match key with
-      | Some k ->
-        if Hashtbl.length memo >= memo_limit then begin
-          Hashtbl.reset memo;
-          Tm.incr m_memo_evictions
-        end;
-        Hashtbl.replace memo k tree
-      | None -> ());
-      Parsed tree)
+  match Parsing.parse_list t.parser_ ~eof_value:Pval.Unit (driver_tokens t lef) with
+  | exception Vhdl_lalr.Driver.Syntax_error { line = eline; found; _ } ->
+    Tm.incr m_parse_errors;
+    Syntax { eline; found }
+  | tree -> Parsed tree
 
-(* Attribute-evaluate a (possibly cached) tree: [Evaluator.create] attaches
-   fresh mutable nodes with empty per-node attribute caches around the
-   immutable tree, so evaluation context never leaks between uses of one
-   cached artifact.  Copy elision follows the cascade mode: off on the
-   oracle's cold path. *)
+(* Copy elision follows the ambient session: off on the differential
+   oracle's reference (Demand) side. *)
 let goals t ~level tree =
   let ev =
     Evaluator.create t.grammar
       ~token_line:(fun n -> Pval.Int n)
       ?provenance:(provenance_hook ())
-      ~copy_elide:!cascade_warm
+      ~copy_elide:(Session.copy_elide ())
       ~root_inherited:[ ("XLEVEL", Pval.Int level) ]
       tree
   in
@@ -165,7 +100,7 @@ let eval ?expected ~level ~line (lef : Lef.tok list) : Pval.xres =
       x_msgs = [ Diag.error ~line "missing expression" ];
     }
   else
-    match parse_cached t ~keyspace:"E" lef with
+    match parse t lef with
     | Syntax { eline; found } ->
       {
         Pval.x_ty = Expr_sem.error_ty;
@@ -185,8 +120,6 @@ let eval ?expected ~level ~line (lef : Lef.tok list) : Pval.xres =
           ];
       }
     | Parsed tree ->
-      (* selection happens per call: [?expected] and [~line] are context,
-         deliberately outside the cached artifact *)
       let cands, msgs = goals t ~level tree in
       Expr_sem.select ~line ~expected cands msgs
 
@@ -205,7 +138,7 @@ let eval_range ~level ~line (lef : Lef.tok list) :
       None,
       [ Diag.error ~line "missing range" ] )
   else
-    match parse_cached t ~keyspace:"R" lef with
+    match parse t lef with
     | Syntax _ ->
       ( (Kir.Elit (Value.Vint 0), Types.To, Kir.Elit (Value.Vint 0)),
         None,

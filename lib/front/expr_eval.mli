@@ -12,27 +12,10 @@ val parser_ : unit -> Pval.t Parsing.t
     ([cascade.*] counters) and the ambient phase timer ("expression
     evaluation (cascade)" frames), not module-local mutable state. *)
 
-(** {1 The LEF→parse-tree memo cache}
-
-    The parse tree of a maximal expression is a pure function of its LEF
-    token list, so it is cached process-wide under a structural content key
-    ({!Lef.content_key}); evaluation context ([?expected], [~level],
-    [~line]) stays outside the cached artifact and is re-applied per call.
-    Hits and misses surface as [cascade.memo_hits] / [cascade.memo_misses];
-    eviction is generational and bounded ([cascade.memo_evictions]). *)
-
-val with_cold_cascade : (unit -> 'a) -> 'a
-(** Run [f] with the memo cache bypassed and copy elision off in the
-    expression AG — the reference path the differential oracle's demand
-    side compares the fast path against.  Dynamically scoped; restores the
-    warm cascade on exit, exceptions included. *)
-
-val clear_memo : unit -> unit
-(** Drop every cached parse tree (the cache is process-global; tests call
-    this to stay order-independent). *)
-
-val memo_size : unit -> int
-(** Number of distinct expressions currently cached. *)
+(** Every call parses its token list afresh: there is no process-global
+    cache.  Copy elision in the expression AG follows the ambient
+    session's [copy_elide] ({!Session.copy_elide}), so the differential
+    oracle's reference side runs it with elision off. *)
 
 val eval :
   ?expected:Types.t -> level:int -> line:int -> Lef.tok list -> Pval.xres

@@ -59,13 +59,20 @@ let add b =
       ];
 
   (* ---- declaration item threading ---- *)
-  prod ~name:"decl_items_empty" ~lhs:"decl_items" ~rhs:[] ~rules:[];
+  (* One ENV is threaded through the region (paper §4.3: "create a new ENV
+     node and insert it at the front ... so that the old ENV value is not
+     changed"): each declaration extends the ENV its predecessor produced
+     (ENVOUT) with only its own bindings, so a region's ENV work is linear
+     in its length.  Region bodies read the last ENVOUT. *)
+  prod ~name:"decl_items_empty" ~lhs:"decl_items" ~rhs:[]
+    ~rules:[ copy ~target:(0, "ENVOUT") ~from:(0, "ENV") ];
   prod ~name:"decl_items_more" ~lhs:"decl_items" ~rhs:[ "decl_items"; "decl_item" ]
     ~rules:
       [
-        rule ~target:(2, "ENV") ~deps:[ (0, "ENV"); (1, "OUT") ] (function
+        copy ~target:(2, "ENV") ~from:(1, "ENVOUT");
+        rule ~target:(0, "ENVOUT") ~deps:[ (2, "ENV"); (2, "OUT") ] (function
           | [ env; out ] -> Env (Env.extend_many (as_env env) (as_out out).o_binds)
-          | _ -> internal "decl env");
+          | _ -> internal "decl envout");
         (* homographs: redeclaring a non-overloadable name in the same
            declarative region is an error (LRM 10.3) *)
         rule ~target:(0, "MSGS")
@@ -786,9 +793,7 @@ let add b =
                  0 (as_spec spec).sp_params)
           | _ -> internal "subprog slotbase");
         rule ~target:(3, "CTX") ~deps:[] (fun _ -> Str "subprog");
-        rule ~target:(5, "ENV") ~deps:[ (3, "ENV"); (3, "OUT") ] (function
-          | [ env; out ] -> Env (Env.extend_many (as_env env) (as_out out).o_binds)
-          | _ -> internal "subprog stmt env");
+        copy ~target:(5, "ENV") ~from:(3, "ENVOUT");
         rule ~target:(5, "LEVEL") ~deps:[ (3, "LEVEL") ] (function
           | [ l ] -> l
           | _ -> internal "subprog stmt level");

@@ -225,9 +225,7 @@ let add b =
             | None, _ -> Int 0)
           | _ -> internal "arch sigbase");
         (* concurrent part *)
-        rule ~target:(8, "ENV") ~deps:[ (6, "ENV"); (6, "OUT") ] (function
-          | [ env; out ] -> Env (Env.extend_many (as_env env) (as_out out).o_binds)
-          | _ -> internal "arch concs env");
+        copy ~target:(8, "ENV") ~from:(6, "ENVOUT");
         rule ~target:(8, "CTX") ~deps:[] (fun _ -> Str "arch");
         rule ~target:(8, "LEVEL") ~deps:[] (fun _ -> Int (-1));
         rule ~target:(8, "SLOTBASE") ~deps:[] (fun _ -> Int 0);
@@ -438,9 +436,7 @@ let add b =
          rule ~target:(2, "CTX") ~deps:[] (fun _ -> Str "process");
          rule ~target:(2, "LEVEL") ~deps:[] (fun _ -> Int 0);
          rule ~target:(2, "SLOTBASE") ~deps:[] (fun _ -> Int 0);
-         rule ~target:(4, "ENV") ~deps:[ (0, "ENV"); (2, "OUT") ] (function
-           | [ env; out ] -> Env (Env.extend_many (as_env env) (as_out out).o_binds)
-           | _ -> internal "process stmts env");
+         copy ~target:(4, "ENV") ~from:(2, "ENVOUT");
          rule ~target:(4, "CTX") ~deps:[] (fun _ -> Str "process");
          rule ~target:(4, "LEVEL") ~deps:[] (fun _ -> Int 0);
          rule ~target:(4, "LOOPDEPTH") ~deps:[] (fun _ -> Int 0);
@@ -791,9 +787,7 @@ let add b =
                        }))
              | None -> Env (as_env env))
            | _ -> internal "block env");
-         rule ~target:(7, "ENV") ~deps:[ (5, "ENV"); (5, "OUT") ] (function
-           | [ env; out ] -> Env (Env.extend_many (as_env env) (as_out out).o_binds)
-           | _ -> internal "block concs env");
+         copy ~target:(7, "ENV") ~from:(5, "ENVOUT");
          rule ~target:(7, "CTX") ~deps:[] (fun _ -> Str "block");
          rule ~target:(7, "SIGBASE") ~deps:[ (0, "SIGBASE"); (5, "OUT") ] (function
            | [ base; out ] -> Int (as_int base + List.length (as_out out).o_signals)

@@ -136,6 +136,7 @@ let build () =
   syn "cond_waves" "CWAVES";
   syn "selected_waves" "SWAVES";
   syn "guard_opt" "OGUARD";
+  syn "decl_items" "ENVOUT";
 
   (* ---- productions ---- *)
   Grammar_exprs.add b;

@@ -19,6 +19,9 @@ type t = {
   (* every subprogram signature seen during this session, by mangled name:
      procedure-call statements need parameter modes for copy-back *)
   subprogs : (string, Denot.subprog_sig) Hashtbl.t;
+  (* copy-rule elision in both AGs: off on the differential oracle's
+     reference (Demand) side, which must not share it with the fast path *)
+  copy_elide : bool;
 }
 
 let in_memory ?(work = "WORK") units =
@@ -31,6 +34,7 @@ let in_memory ?(work = "WORK") units =
       (fun u -> Hashtbl.replace tbl (u.Unit_info.u_library, u.Unit_info.u_key) u);
     known_library = (fun lib -> lib = work || lib = "STD");
     subprogs = Hashtbl.create 64;
+    copy_elide = true;
   }
 
 let current : t option ref = ref None
@@ -48,6 +52,11 @@ let get () =
 let find_unit ~library ~key = (get ()).find_unit ~library ~key
 let work () = (get ()).work_library
 let known_library lib = lib = "STD" || (get ()).known_library lib
+
+let copy_elide () =
+  match !current with
+  | Some s -> s.copy_elide
+  | None -> true
 
 (* observation / fault-injection point: called with each unit before it is
    inserted.  The difftest harness uses it to poison selected units; the

@@ -10,10 +10,14 @@ type t = {
   insert : Unit_info.compiled_unit -> unit;
   known_library : string -> bool;
   subprogs : (string, Denot.subprog_sig) Hashtbl.t;
+  copy_elide : bool;
+      (** copy-rule elision in both AGs; off on the differential oracle's
+          reference (Demand) side *)
 }
 
 val in_memory : ?work:string -> Unit_info.compiled_unit list -> t
-(** A session over an in-memory unit list (tests, benches). *)
+(** A session over an in-memory unit list (tests, benches), copy elision
+    on. *)
 
 val with_session : t -> (unit -> 'a) -> 'a
 val get : unit -> t
@@ -21,6 +25,9 @@ val get : unit -> t
 val find_unit : library:string -> key:string -> Unit_info.compiled_unit option
 val work : unit -> string
 val known_library : string -> bool
+
+val copy_elide : unit -> bool
+(** The active session's [copy_elide]; [true] outside any session. *)
 
 val insert_unit : Unit_info.compiled_unit -> unit
 (** Called as each unit finishes analysis, so later units in the same file

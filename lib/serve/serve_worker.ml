@@ -21,9 +21,11 @@
       bounding diagnostic and library growth over a long-lived process.
 
     Warmth is the point of the daemon: the LALR tables, both attribute
-    grammars, and the expression-AG memo are process-global and stay hot
-    across requests, and the working library persists between requests of
-    the same worker generation. *)
+    grammars and the principal AG's evaluation plan are built once per
+    process and stay hot across requests, and the working library
+    persists between requests of the same worker generation.  No
+    compile-time cache outlives a request, so a recycle leaves nothing
+    stale behind. *)
 
 module Tm = Vhdl_telemetry.Telemetry
 

@@ -71,9 +71,16 @@ val gauge_value : gauge -> float
 val bucket_of : float -> int
 val observe : histogram -> float -> unit
 
+val bucket_percentile :
+  int array -> count:int -> min_v:float -> max_v:float -> float -> float
+(** [bucket_percentile buckets ~count ~min_v ~max_v p]: approximate
+    quantile [p] over a power-of-two bucket array (laid out as
+    {!histogram_buckets}) holding [count] observations, clamped to the
+    observed [[min_v, max_v]] — exact to within a factor of two.  The one
+    bucket walk behind {!percentile} and merged windows. *)
+
 val percentile : histogram -> float -> float
-(** Approximate quantile from the power-of-two buckets, clamped to the
-    observed [min,max] — exact to within a factor of two. *)
+(** {!bucket_percentile} over one histogram. *)
 
 val counter_value : string -> int
 (** Current value of a counter by name, 0 if never registered. *)

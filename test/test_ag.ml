@@ -135,21 +135,8 @@ let test_binary_analysis () =
   Alcotest.(check int) "max visits" 2 stats.Stats.max_visits;
   Alcotest.(check int) "productions" 6 stats.Stats.productions
 
-let test_staged_matches_demand () =
-  let g = binary_grammar () in
-  let a = Analysis.compute g in
-  let partitions = Analysis.visit_partitions a in
-  let tree = parse_binary g "110.101" in
-  let ev1 = Evaluator.create g ~root_inherited:[] tree in
-  let v_demand = as_f (Evaluator.goal ev1 "v") in
-  let ev2 = Evaluator.create g ~root_inherited:[] tree in
-  let passes = Evaluator.evaluate_staged ev2 ~partitions in
-  Alcotest.(check bool) "at least one pass" true (passes >= 1);
-  let v_staged = as_f (Evaluator.goal ev2 "v") in
-  Alcotest.(check (float 1e-9)) "same value" v_demand v_staged
-
-(* The static plan agrees with demand too, and its pass count is the one
-   the analysis promised. *)
+(* The static plan agrees with demand, and its pass count is the one the
+   analysis promised. *)
 let test_plan_matches_demand () =
   let g = binary_grammar () in
   let a = Analysis.compute g in
@@ -163,60 +150,79 @@ let test_plan_matches_demand () =
   let v_plan = as_f (Evaluator.goal ev2 "v") in
   Alcotest.(check (float 1e-9)) "same value" v_demand v_plan
 
-(* Demand-vs-staged agreement, systematically: for every seed example
+(* Demand-vs-plan agreement, systematically: for every seed example
    grammar and a spread of inputs, the goal attributes must be equal,
-   staged must run at least one pass, and rule applications must be
+   the plan must run at least one pass, and rule applications must be
    sane — demand (goal-reachable only, memoized) never applies more
-   rules than staged (which forces everything), and staged never
-   exceeds one application per declared attribute per tree node. *)
+   rules than the plan (which forces every synthesized attribute), and
+   the plan never exceeds one application per declared attribute per
+   tree node. *)
 let check_agreement ?(root_inherited = []) ~msg g tree ~goals ~eq =
   let ev_d = Evaluator.create g ~root_inherited tree in
   let demand_goals = List.map (fun a -> Evaluator.goal ev_d a) goals in
   let demand_apps = Evaluator.rule_applications ev_d in
-  let ev_s = Evaluator.create g ~root_inherited tree in
-  let partitions = Analysis.visit_partitions (Analysis.compute g) in
-  let passes = Evaluator.evaluate_staged ev_s ~partitions in
-  let staged_goals = List.map (fun a -> Evaluator.goal ev_s a) goals in
-  let staged_apps = Evaluator.rule_applications ev_s in
+  let ev_p = Evaluator.create g ~root_inherited tree in
+  let passes = Evaluator.evaluate_plan ev_p ~plan:(Analysis.plan (Analysis.compute g)) in
+  let plan_goals = List.map (fun a -> Evaluator.goal ev_p a) goals in
+  let plan_apps = Evaluator.rule_applications ev_p in
   Alcotest.(check bool) (msg ^ ": at least one pass") true (passes >= 1);
   List.iter2
-    (fun a (d, s) ->
-      Alcotest.(check bool) (Printf.sprintf "%s: goal %s agrees" msg a) true (eq d s))
+    (fun a (d, p) ->
+      Alcotest.(check bool) (Printf.sprintf "%s: goal %s agrees" msg a) true (eq d p))
     goals
-    (List.combine demand_goals staged_goals);
+    (List.combine demand_goals plan_goals);
   Alcotest.(check bool)
-    (Printf.sprintf "%s: demand apps (%d) <= staged apps (%d)" msg demand_apps
-       staged_apps)
-    true (demand_apps <= staged_apps);
+    (Printf.sprintf "%s: demand apps (%d) <= plan apps (%d)" msg demand_apps plan_apps)
+    true (demand_apps <= plan_apps);
   let bound = Tree.size tree * Array.length g.Grammar.attrs in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: staged apps (%d) <= nodes x attrs (%d)" msg staged_apps bound)
-    true (staged_apps <= bound)
+    (Printf.sprintf "%s: plan apps (%d) <= nodes x attrs (%d)" msg plan_apps bound)
+    true (plan_apps <= bound)
+
+(* A random binary numeral and its numeric value. *)
+let binary_arb =
+  QCheck.(pair (list_of_size (Gen.int_range 1 12) bool) (list_of_size (Gen.int_range 0 8) bool))
+
+let binary_case (int_bits, frac_bits) =
+  let string_of bits = String.concat "" (List.map (fun b -> if b then "1" else "0") bits) in
+  let input =
+    if frac_bits = [] then string_of int_bits
+    else string_of int_bits ^ "." ^ string_of frac_bits
+  in
+  let expected =
+    let ipart =
+      List.fold_left (fun acc b -> (acc *. 2.0) +. if b then 1.0 else 0.0) 0.0 int_bits
+    in
+    let fpart, _ =
+      List.fold_left
+        (fun (acc, scale) b -> ((acc +. if b then 2.0 ** scale else 0.0), scale -. 1.0))
+        (0.0, -1.0) frac_bits
+    in
+    ipart +. fpart
+  in
+  (input, expected)
 
 let binary_property =
-  QCheck.Test.make ~name:"binary AG computes the numeric value" ~count:200
-    QCheck.(pair (list_of_size (Gen.int_range 1 12) bool) (list_of_size (Gen.int_range 0 8) bool))
-    (fun (int_bits, frac_bits) ->
+  QCheck.Test.make ~name:"binary AG computes the numeric value" ~count:200 binary_arb
+    (fun bits ->
       let g = binary_grammar () in
-      let string_of bits = String.concat "" (List.map (fun b -> if b then "1" else "0") bits) in
-      let input =
-        if frac_bits = [] then string_of int_bits
-        else string_of int_bits ^ "." ^ string_of frac_bits
-      in
-      let expected =
-        let ipart =
-          List.fold_left (fun acc b -> (acc *. 2.0) +. if b then 1.0 else 0.0) 0.0 int_bits
-        in
-        let fpart, _ =
-          List.fold_left
-            (fun (acc, scale) b -> ((acc +. if b then 2.0 ** scale else 0.0), scale -. 1.0))
-            (0.0, -1.0) frac_bits
-        in
-        ipart +. fpart
-      in
+      let input, expected = binary_case bits in
       let tree = parse_binary g input in
       let ev = Evaluator.create g ~root_inherited:[] tree in
       abs_float (as_f (Evaluator.goal ev "v") -. expected) < 1e-9)
+
+(* The same numerals through the static plan: the value is right and the
+   plan runs exactly the passes the analysis promised, on every input. *)
+let binary_plan_property =
+  let planned = lazy (let g = binary_grammar () in (g, Analysis.plan (Analysis.compute g))) in
+  QCheck.Test.make ~name:"plan evaluation computes the numeric value" ~count:200 binary_arb
+    (fun bits ->
+      let g, plan = Lazy.force planned in
+      let input, expected = binary_case bits in
+      let ev = Evaluator.create g ~root_inherited:[] (parse_binary g input) in
+      let passes = Evaluator.evaluate_plan ev ~plan in
+      passes = Analysis.plan_passes plan
+      && abs_float (as_f (Evaluator.goal ev "v") -. expected) < 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Attribute classes: MSGS-style merge class and ENV-style copy class,
@@ -445,9 +451,9 @@ let test_principal_ag_noncircular () =
   Alcotest.(check bool) "implicit rules are the majority (TBL-IMPLICIT)" true
     (Stats.implicit_fraction s > 0.5)
 
-(* staged (plan-based) evaluation of the principal AG produces the same
-   compiled units as demand evaluation *)
-let test_staged_principal () =
+(* plan-based evaluation of the principal AG produces the same compiled
+   units as demand evaluation *)
+let test_plan_principal () =
   let source =
     "entity e is\n  port (a : in bit; y : out bit);\nend e;\n\narchitecture r of e is\nbegin\n  y <= not a after 1 ns;\nend r;"
   in
@@ -478,12 +484,6 @@ let test_staged_principal () =
           (Pval.as_units (Evaluator.goal ev "UNITS")))
   in
   let demand = compile_with (fun _ _ -> ()) in
-  let staged =
-    compile_with (fun g ev ->
-        let partitions = Analysis.visit_partitions (Analysis.compute g) in
-        ignore (Evaluator.evaluate_staged ev ~partitions))
-  in
-  Alcotest.(check (list string)) "same units" demand staged;
   let planned =
     compile_with (fun g ev ->
         ignore (Evaluator.evaluate_plan ev ~plan:(Analysis.plan (Analysis.compute g))))
@@ -495,14 +495,14 @@ let suite =
     Alcotest.test_case "binary numbers evaluate" `Quick test_binary_value;
     Alcotest.test_case "principal AG is strongly noncircular" `Quick
       test_principal_ag_noncircular;
-    Alcotest.test_case "staged evaluation of the principal AG" `Quick test_staged_principal;
+    Alcotest.test_case "plan evaluation of the principal AG" `Quick test_plan_principal;
     Alcotest.test_case "binary analysis: visits" `Quick test_binary_analysis;
-    Alcotest.test_case "staged evaluation matches demand" `Quick test_staged_matches_demand;
     Alcotest.test_case "plan evaluation matches demand" `Quick test_plan_matches_demand;
     Alcotest.test_case "plan elides copy chains" `Quick test_plan_elides_copies;
-    Alcotest.test_case "demand/staged agreement across example grammars" `Quick
+    Alcotest.test_case "demand/plan agreement across example grammars" `Quick
       test_agreement_all_grammars;
     QCheck_alcotest.to_alcotest binary_property;
+    QCheck_alcotest.to_alcotest binary_plan_property;
     Alcotest.test_case "merge class concatenates in order" `Quick test_merge_class;
     Alcotest.test_case "copy class threads values implicitly" `Quick test_copy_class;
     Alcotest.test_case "implicit rule counting" `Quick test_implicit_counts;

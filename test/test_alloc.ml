@@ -240,6 +240,33 @@ let test_run_captures_allocs () =
     | ss -> Alcotest.failf "expected 1 sample, got %d" (List.length ss)));
   Sys.remove path
 
+(* Declarative regions allocate linearly: each declaration extends the
+   ENV its predecessor produced instead of re-extending the region's ENV
+   with the whole prefix.  Quadrupling the declaration count of
+   [expression_heavy] must roughly quadruple the exact minor-heap words of
+   a compile: 160 -> 640 measures 4.08x threaded and 6.27x with the
+   quadratic prefix rebuild.  The grammars are built first so their
+   one-time construction is not charged to the smaller design. *)
+let linear_region_bound = 4.5
+
+let test_region_alloc_is_linear () =
+  ignore (Vhdl_compiler.compile (Vhdl_compiler.create ()) (Workload.expression_heavy ~n:1));
+  let words n =
+    let src = Workload.expression_heavy ~n in
+    let c = Vhdl_compiler.create () in
+    let w0 = Gc.minor_words () in
+    ignore (Vhdl_compiler.compile c src);
+    Gc.minor_words () -. w0
+  in
+  let small = words 160 and large = words 640 in
+  let ratio = large /. small in
+  Printf.printf "expression_heavy minor words: n=160 %.0f, n=640 %.0f, ratio %.2f\n" small
+    large ratio;
+  Alcotest.(check bool)
+    (Printf.sprintf "4x declarations -> %.2fx words (bound %.1fx)" ratio linear_region_bound)
+    true
+    (ratio < linear_region_bound)
+
 let suite =
   [
     Alcotest.test_case "zero-allocation span reports exactly 0" `Quick
@@ -258,4 +285,6 @@ let suite =
       test_perturb_alloc_parsing;
     Alcotest.test_case "bench runs capture per-rep allocation" `Quick
       test_run_captures_allocs;
+    Alcotest.test_case "declarative regions allocate linearly" `Quick
+      test_region_alloc_is_linear;
   ]

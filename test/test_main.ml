@@ -22,7 +22,7 @@ let () =
       ("trace", Test_trace.suite);
       ("perf", Test_perf.suite);
       ("generated", Test_generated.suite);
-      ("cascade", Test_cascade_memo.suite);
+      ("plan", Test_plan.suite);
       ("difftest", Test_difftest.suite);
       ("serve", Test_serve.suite);
       ("servobs", Test_obs.suite);

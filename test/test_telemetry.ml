@@ -159,129 +159,16 @@ let test_null_sink () =
   Tm.with_span ~cat:"test" "invisible" (fun () -> ());
   Alcotest.(check int) "no spans recorded when off" 0 (List.length (Tm.spans ()))
 
-(* ------------------------------------------------------------------ *)
-(* A tiny JSON reader — just enough to validate the exporters' output
-   without an external dependency. *)
+(* The exporters' output is validated with the repo's one JSON reader. *)
 
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
+module J = Vhdl_perf.Perf.Json_in
 
-let parse_json (s : string) : json =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let next () =
-    if !pos >= len then failwith "unexpected end of JSON";
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let skip_ws () =
-    while
-      !pos < len && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let lit word v =
-    String.iter (fun c -> if next () <> c then failwith "bad literal") word;
-    v
-  in
-  let string_body () =
-    if next () <> '"' then failwith "expected string";
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        (match next () with
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 'u' ->
-          pos := !pos + 4;
-          Buffer.add_char buf '?'
-        | c -> Buffer.add_char buf c);
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        go ()
-    in
-    go ()
-  in
-  let number () =
-    let start = !pos in
-    while
-      !pos < len
-      && (match s.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      incr pos
-    done;
-    if !pos = start then failwith "bad JSON value";
-    Jnum (float_of_string (String.sub s start (!pos - start)))
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> Jstr (string_body ())
-    | Some 't' -> lit "true" (Jbool true)
-    | Some 'f' -> lit "false" (Jbool false)
-    | Some 'n' -> lit "null" Jnull
-    | _ -> number ()
-  and arr () =
-    ignore (next ());
-    skip_ws ();
-    if peek () = Some ']' then (
-      ignore (next ());
-      Jarr [])
-    else
-      let rec items acc =
-        let v = value () in
-        skip_ws ();
-        match next () with
-        | ',' -> items (v :: acc)
-        | ']' -> Jarr (List.rev (v :: acc))
-        | _ -> failwith "bad array"
-      in
-      items []
-  and obj () =
-    ignore (next ());
-    skip_ws ();
-    if peek () = Some '}' then (
-      ignore (next ());
-      Jobj [])
-    else
-      let rec fields acc =
-        skip_ws ();
-        let k = string_body () in
-        skip_ws ();
-        if next () <> ':' then failwith "expected colon";
-        let v = value () in
-        skip_ws ();
-        match next () with
-        | ',' -> fields ((k, v) :: acc)
-        | '}' -> Jobj (List.rev ((k, v) :: acc))
-        | _ -> failwith "bad object"
-      in
-      fields []
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> len then failwith "trailing JSON garbage";
-  v
+let parse_json s =
+  match J.parse s with
+  | Ok v -> v
+  | Error msg -> Alcotest.failf "invalid JSON: %s" msg
 
-let field name = function
-  | Jobj fields -> List.assoc_opt name fields
-  | _ -> None
+let field = J.mem
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace of a full compile + simulate *)
@@ -295,7 +182,7 @@ let test_chrome_trace () =
   ignore (Vhdl_compiler.run c sim ~max_ns:100);
   let events =
     match parse_json (Tm.to_chrome_trace ()) with
-    | Jarr events -> events
+    | J.Arr events -> events
     | _ -> Alcotest.fail "trace is not a JSON array"
   in
   Alcotest.(check bool) "has events" true (List.length events > 5);
@@ -303,18 +190,18 @@ let test_chrome_trace () =
   List.iter
     (fun ev ->
       match field "ph" ev with
-      | Some (Jstr "M") -> () (* metadata *)
-      | Some (Jstr "X") ->
+      | Some (J.Str "M") -> () (* metadata *)
+      | Some (J.Str "X") ->
         (* complete events carry the full Chrome trace-event shape *)
         (match (field "name" ev, field "cat" ev) with
-        | Some (Jstr n), Some (Jstr _) -> names := n :: !names
+        | Some (J.Str n), Some (J.Str _) -> names := n :: !names
         | _ -> Alcotest.fail "X event missing name/cat");
         (match (field "ts" ev, field "dur" ev) with
-        | Some (Jnum ts), Some (Jnum dur) ->
+        | Some (J.Num ts), Some (J.Num dur) ->
           Alcotest.(check bool) "ts/dur non-negative" true (ts >= 0.0 && dur >= 0.0)
         | _ -> Alcotest.fail "X event missing ts/dur");
         (match (field "pid" ev, field "tid" ev) with
-        | Some (Jnum _), Some (Jnum _) -> ()
+        | Some (J.Num _), Some (J.Num _) -> ()
         | _ -> Alcotest.fail "X event missing pid/tid")
       | _ -> Alcotest.fail "event with unexpected ph")
     events;
@@ -341,15 +228,15 @@ let test_metrics_json () =
   let c = Vhdl_compiler.create () in
   ignore (Vhdl_compiler.compile c src);
   match parse_json (Tm.metrics_json ()) with
-  | Jobj _ as m ->
+  | J.Obj _ as m ->
     let counters =
       match field "counters" m with
-      | Some (Jobj cs) -> cs
+      | Some (J.Obj cs) -> cs
       | _ -> Alcotest.fail "no counters object"
     in
     let counter name =
       match List.assoc_opt name counters with
-      | Some (Jnum v) -> int_of_float v
+      | Some (J.Num v) -> int_of_float v
       | _ -> Alcotest.failf "counter %s missing from JSON" name
     in
     Alcotest.(check int) "json mirrors registry" (Tm.counter_value "lexer.tokens")
@@ -365,7 +252,6 @@ let test_metrics_json () =
 
 let test_golden_metrics () =
   Tm.reset ();
-  Expr_eval.clear_memo ();
   let src = read_corpus "golden_seed3_behavioral.vhd" in
   let c = disk_compiler () in
   ignore (Vhdl_compiler.compile c src);
@@ -374,11 +260,6 @@ let test_golden_metrics () =
   Alcotest.(check int) "lexer.tokens" 323 (v "lexer.tokens");
   Alcotest.(check int) "cascade.evaluations" 43 (v "cascade.evaluations");
   Alcotest.(check int) "cascade.lef_tokens" 179 (v "cascade.lef_tokens");
-  (* every expression of the design is distinct (content + line), so a
-     cold cache parses each exactly once and hits nothing *)
-  Alcotest.(check int) "cascade.reparses" 43 (v "cascade.reparses");
-  Alcotest.(check int) "cascade.memo_misses" 43 (v "cascade.memo_misses");
-  Alcotest.(check int) "cascade.memo_hits" 0 (v "cascade.memo_hits");
   Alcotest.(check int) "supervisor.units_compiled" 2 (v "supervisor.units_compiled");
   Alcotest.(check int) "vif.writes" 2 (v "vif.writes");
   (* evaluator work is non-zero but its exact count is not part of the
@@ -389,13 +270,10 @@ let test_golden_metrics () =
   Alcotest.(check bool) "lalr.shifts > 0" true (v "lalr.shifts" > 0);
   Alcotest.(check bool) "lalr.reduces > 0" true (v "lalr.reduces" > 0);
   Alcotest.(check int) "no parse errors" 0 (v "lalr.errors");
-  (* recompiling the same source parses no expression a second time: the
-     evaluation count doubles, the reparse count does not move *)
+  (* recompiling the same source evaluates every expression again *)
   let c2 = disk_compiler () in
   ignore (Vhdl_compiler.compile c2 src);
-  Alcotest.(check int) "cascade.evaluations after recompile" 86 (v "cascade.evaluations");
-  Alcotest.(check int) "cascade.reparses after recompile" 43 (v "cascade.reparses");
-  Alcotest.(check int) "cascade.memo_hits after recompile" 43 (v "cascade.memo_hits")
+  Alcotest.(check int) "cascade.evaluations after recompile" 86 (v "cascade.evaluations")
 
 (* ------------------------------------------------------------------ *)
 (* Overhead guard: with tracing off, the only cost the telemetry layer

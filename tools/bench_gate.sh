@@ -18,8 +18,8 @@
 #   BENCH_GATE_BASELINE   baseline report path (overrides $1)
 #   BENCH_GATE_THRESHOLD  regression threshold fraction (default 3.0,
 #                         i.e. flag only >4x slowdowns; tightened from
-#                         6.0 when the cascade memo + plan evaluator
-#                         landed so the win stays locked in)
+#                         6.0 when the plan evaluator landed so the win
+#                         stays locked in)
 #   BENCH_GATE_QUOTA      per-experiment measurement quota in seconds
 #                         (default 0.25)
 #   BENCH_GATE_REPEATS    measured repetitions per experiment (default 3)
