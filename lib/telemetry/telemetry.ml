@@ -22,8 +22,9 @@
    CPU time — fine for a single-threaded hot loop, wrong for anything that
    sleeps, waits on IO, or gets descheduled, and far too coarse for span
    timestamps.  Every timing consumer above this library
-   (Vhdl_util.Unix_compat.now, Phase_timer, the bench harness) reads this
-   clock so phase tables, span trees and benchmark sessions agree. *)
+   (Vhdl_util.Unix_compat.now, Phase_timer, Perf.run and so every
+   `vhdlc bench` suite) reads this clock so phase tables, span trees and
+   benchmark sessions agree. *)
 let clock_epoch = Monotonic_clock.now ()
 
 let now_s () =

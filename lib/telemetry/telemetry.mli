@@ -9,7 +9,7 @@
 
 val now_s : unit -> float
 (** Monotonic wall time in seconds since the first read — the one clock
-    every timing consumer (spans, phase tables, the bench harness)
+    every timing consumer (spans, phase tables, [vhdlc bench] sessions)
     shares. *)
 
 (** Minimal JSON construction (no external dependency). *)
