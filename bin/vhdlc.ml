@@ -587,8 +587,8 @@ let print_fig2 () =
   List.iter
     (fun (name, (p : Pval.t Parsing.t)) ->
       let t = p.Parsing.table in
-      Printf.printf "  %-40s %6d states, %d entries\n" name t.Vhdl_lalr.Table.n_states
-        (t.n_states * t.cfg.Vhdl_lalr.Cfg.n_symbols * 2))
+      Printf.printf "  %-40s %6d states, %d cells\n" name t.Vhdl_lalr.Table.n_states
+        (t.n_states * t.cfg.Vhdl_lalr.Cfg.n_symbols))
     [
       ("principal parse table", Main_grammar.parser_ ());
       ("expression parse table", Expr_eval.parser_ ());
@@ -657,7 +657,7 @@ let cascade_inputs () =
 let principal_evaluation drive =
   let g = Main_grammar.grammar () in
   let parser_ = Main_grammar.parser_ () in
-  let plan = Analysis.plan (Analysis.compute g) in
+  let plan = Main_grammar.plan () in
   let session = Session.in_memory [] in
   let src = Workload.behavioral ~name:"EV" ~states:8 ~exprs:15 in
   fun () ->
@@ -958,6 +958,32 @@ let bench_suite ~suite ~warmup ~repeats ~quota =
               ("vif/warm", resolve_all);
             ])
     in
+    (* PERF-STARTUP: what a make-style user waits for per file — fork+exec
+       of this very executable compiling one golden corpus design, grammar
+       set-up included; run from the repo root to find the corpus *)
+    let startup =
+      let golden = "test/corpus/golden_seed3_behavioral.vhd" in
+      if not (Sys.file_exists golden) then begin
+        Printf.printf "startup/one-shot: skipped, no %s here\n" golden;
+        []
+      end
+      else
+        with_work_dir (fun dir ->
+            let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+            let compile_once () =
+              let pid =
+                Unix.create_process Sys.executable_name
+                  [| Sys.executable_name; "compile"; "--work"; dir; golden |]
+                  Unix.stdin devnull devnull
+              in
+              match Unix.waitpid [] pid with
+              | _, Unix.WEXITED 0 -> ()
+              | _ -> failwith ("startup/one-shot: vhdlc compile failed on " ^ golden)
+            in
+            Fun.protect
+              ~finally:(fun () -> Unix.close devnull)
+              (fun () -> [ session "startup/one-shot" compile_once ]))
+    in
     (* the AG machinery itself: the partition analysis, both evaluation
        strategies on one design, and the LALR table construction *)
     let micro =
@@ -972,7 +998,7 @@ let bench_suite ~suite ~warmup ~repeats ~quota =
             fun () -> ignore (Parsing.create ~name:"bench" (Expr_grammar.build ()) ~eof:"LEOF") );
         ]
     in
-    List.concat [ speed; sim; [ phase_ledger ]; config; env; cascade; vif; micro ]
+    List.concat [ speed; sim; [ phase_ledger ]; config; env; cascade; vif; startup; micro ]
 
 let bench_cmd =
   let against =

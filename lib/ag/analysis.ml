@@ -321,6 +321,40 @@ let plan t =
   in
   { pl_passes = passes; pl_force = force; pl_copy_targets = !copy_targets }
 
+(* A plan as 32-bit little-endian ints: passes, copy targets, production
+   count, then per production and pass the force list's length and ids. *)
+let plan_to_string p =
+  let b = Buffer.create 4096 in
+  let int n = Buffer.add_int32_le b (Int32.of_int n) in
+  int p.pl_passes;
+  int p.pl_copy_targets;
+  int (Array.length p.pl_force);
+  Array.iter
+    (Array.iter (fun attrs ->
+         int (Array.length attrs);
+         Array.iter int attrs))
+    p.pl_force;
+  Buffer.contents b
+
+let plan_of_string s =
+  let pos = ref 0 in
+  let int () =
+    let n = Int32.to_int (String.get_int32_le s !pos) in
+    pos := !pos + 4;
+    n
+  in
+  let pl_passes = int () in
+  let pl_copy_targets = int () in
+  let n_prods = int () in
+  let pl_force =
+    Array.init n_prods (fun _ ->
+        Array.init pl_passes (fun _ ->
+            let n = int () in
+            Array.init n (fun _ -> int ())))
+  in
+  if !pos <> String.length s then invalid_arg "Analysis.plan_of_string: trailing bytes";
+  { pl_passes; pl_force; pl_copy_targets }
+
 let plan_passes p = p.pl_passes
 let plan_copy_targets p = p.pl_copy_targets
 

@@ -47,6 +47,13 @@ val plan : 'v t -> plan
     generating the evaluator once).
     @raise Not_orderable as {!visit_partitions}. *)
 
+val plan_to_string : plan -> string
+(** A plan as plain bytes, for a generator to emit at build time. *)
+
+val plan_of_string : string -> plan
+(** Inverse of {!plan_to_string}.  @raise Invalid_argument on bytes it did
+    not produce. *)
+
 val plan_passes : plan -> int
 val plan_copy_targets : plan -> int
 

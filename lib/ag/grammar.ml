@@ -540,3 +540,58 @@ let pp fmt g =
         (Array.length p.rules))
     g.productions;
   Format.fprintf fmt "@]"
+
+(* ------------------------------------------------------------------ *)
+(* Fingerprint *)
+
+(** Digest of everything the parse tables and the static analysis read:
+    symbols, attribute declarations, productions, and each rule's target,
+    dependencies and [copy_of].  Rule functions and the values of class
+    defaults stay out, so the fingerprint is stable across builds of the
+    same grammar text. *)
+let fingerprint g =
+  let b = Buffer.create 262144 in
+  let int n = Buffer.add_int32_le b (Int32.of_int n) in
+  let list f l =
+    int (List.length l);
+    List.iter f l
+  in
+  let str s =
+    int (String.length s);
+    Buffer.add_string b s
+  in
+  let occ o =
+    int o.pos;
+    int o.attr
+  in
+  Interner.iter g.symbols (fun id name ->
+      str name;
+      int (Bool.to_int g.is_terminal.(id));
+      list int g.sym_attrs.(id));
+  Array.iter
+    (fun a ->
+      str a.attr_name;
+      int (match a.dir with Inherited -> 0 | Synthesized -> 1);
+      int
+        (match a.default with
+        | None -> 0
+        | Some Copy -> 1
+        | Some (Const _) -> 2
+        | Some (Merge _) -> 3))
+    g.attrs;
+  int g.start;
+  int g.token_value_attr;
+  int g.token_line_attr;
+  Array.iter
+    (fun p ->
+      str p.prod_name;
+      int p.lhs;
+      list int (Array.to_list p.rhs);
+      list
+        (fun r ->
+          occ r.target;
+          list occ r.deps;
+          list occ (Option.to_list r.copy_of))
+        (Array.to_list p.rules))
+    g.productions;
+  Digest.to_hex (Digest.string (Buffer.contents b))

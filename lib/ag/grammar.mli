@@ -135,3 +135,10 @@ end
 
 val pp_production : 'v t -> Format.formatter -> 'v production -> unit
 val pp : Format.formatter -> 'v t -> unit
+
+val fingerprint : 'v t -> string
+(** Hex digest of the grammar's structure: symbols, attribute
+    declarations, production left- and right-hand sides, and every rule's
+    target, dependencies and [copy_of] — no closures.  Tables generated
+    from a grammar carry its fingerprint so a stale table is caught when
+    it is bound. *)

@@ -54,6 +54,46 @@ let create ?(allow_conflicts = false) ?(name = "grammar") (g : 'v Grammar.t) ~eo
 
 let conflicts t = t.table.Table.conflicts
 
+type tables = {
+  fingerprint : string;
+  n_states : int;
+  cells : string;
+}
+
+exception
+  Stale_tables of {
+    grammar_name : string;
+    expected : string;
+    found : string;
+  }
+
+let () =
+  Printexc.register_printer (function
+    | Stale_tables { grammar_name; expected; found } ->
+      Some
+        (Printf.sprintf
+           "Parsing.Stale_tables: %s: tables generated for grammar %s, bound to \
+            grammar %s (regenerate them with dune build)"
+           grammar_name expected found)
+    | _ -> None)
+
+let tables t =
+  {
+    fingerprint = Grammar.fingerprint t.grammar;
+    n_states = t.table.Table.n_states;
+    cells = t.table.Table.cells;
+  }
+
+(** Bind tables generated ahead of time (by {!tables}) to the grammar they
+    were generated from: the fingerprints must agree, so a table left stale
+    by a grammar edit fails here, loudly, instead of misparsing. *)
+let bind ?(name = "grammar") (g : 'v Grammar.t) ~eof tables =
+  let found = Grammar.fingerprint g in
+  if tables.fingerprint <> found then
+    raise (Stale_tables { grammar_name = name; expected = tables.fingerprint; found });
+  let table = Table.of_cells (cfg_of_grammar g ~eof) ~n_states:tables.n_states tables.cells in
+  { grammar = g; table; eof = Grammar.find_symbol g eof }
+
 (** Parse a token stream into a derivation tree of the AG. *)
 let parse t ~lexer =
   Driver.parse t.table ~lexer

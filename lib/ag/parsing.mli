@@ -27,6 +27,33 @@ val create : ?allow_conflicts:bool -> ?name:string -> 'v Grammar.t -> eof:string
 
 val conflicts : 'v t -> Vhdl_lalr.Table.conflict list
 
+(** {1 Tables generated ahead of time}
+
+    A generator runs {!create} once, at build time, and emits {!tables}
+    as plain data; the compiler {!bind}s that data instead of rebuilding
+    the automaton in every process. *)
+
+type tables = {
+  fingerprint : string;  (** {!Grammar.fingerprint} of the source grammar *)
+  n_states : int;
+  cells : string;  (** {!Vhdl_lalr.Table.t} packed cells *)
+}
+
+exception
+  Stale_tables of {
+    grammar_name : string;
+    expected : string;  (** fingerprint the tables were generated for *)
+    found : string;  (** fingerprint of the grammar they were bound to *)
+  }
+
+val tables : 'v t -> tables
+(** A parser's tables with its grammar's fingerprint, for a generator to
+    emit. *)
+
+val bind : ?name:string -> 'v Grammar.t -> eof:string -> tables -> 'v t
+(** A parser over previously generated tables.
+    @raise Stale_tables if they were generated from another grammar. *)
+
 val parse : 'v t -> lexer:(unit -> 'v Vhdl_lalr.Driver.token) -> 'v Tree.t
 (** Parse a token stream into a derivation tree. *)
 

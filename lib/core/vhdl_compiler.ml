@@ -30,8 +30,8 @@ let m_compiles_demand = Telemetry.counter "compile.runs_demand"
 let m_compiles_staged = Telemetry.counter "compile.runs_staged"
 
 (** How the principal AG is evaluated during [compile].  [Staged] (the
-    default) drives each design unit through the static plan computed once
-    per grammar by {!Analysis.plan} — copy rules elided — the way a
+    default) drives each design unit through the static plan generated at
+    build time by {!Analysis.plan} — copy rules elided — the way a
     Linguist-generated (plan-based) evaluator proceeds.  [Demand] is the
     reference path: goal-directed memoizing evaluation with copy elision
     off in both AGs (the session's [copy_elide]), demoted to the
@@ -58,11 +58,13 @@ type t = {
 
 exception Compile_error of Diag.t list
 
-(* The static evaluation plan of the principal AG, computed once per
-   process (the analysis walks every production; sharing it mirrors
-   Linguist generating the evaluator once). *)
-let principal_plan =
-  lazy (Analysis.plan (Analysis.compute (Main_grammar.grammar ())))
+(* Both grammars bound to their build-time tables, and the principal AG's
+   evaluation plan: forced once per process, by the first compile, under
+   a phase of its own so attribute evaluation carries no start-up. *)
+let grammars =
+  lazy
+    (ignore (Main_grammar.plan ());
+     ignore (Expr_eval.parser_ ()))
 
 (** Create a compiler.  [work_dir] makes the working library disk-backed
     (separate compilation across compiler instances); without it, the
@@ -219,7 +221,7 @@ let analyze_units t ev =
                   | Staged ->
                     ignore
                       (Evaluator.evaluate_plan ~site ev
-                         ~plan:(Lazy.force principal_plan)));
+                         ~plan:(Main_grammar.plan ())));
                   let us = Pval.as_units (Evaluator.eval_at ev site "UNITS") in
                   let ms = Pval.as_msgs (Evaluator.eval_at ev site "MSGS") in
                   (us, ms)))
@@ -249,6 +251,8 @@ let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
   let session = session t in
   Session.with_session session (fun () ->
       Telemetry.with_span ~cat:"pipeline" "compile" @@ fun () ->
+      if not (Lazy.is_val grammars) then
+        Timer.time t.timer "grammar init" (fun () -> Lazy.force grammars);
       let grammar = Main_grammar.grammar () in
       let parser_ = Main_grammar.parser_ () in
       let source_lines = Lexer.source_lines source in

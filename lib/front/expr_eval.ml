@@ -5,18 +5,23 @@
     is fed tokens by a trivial scanner that just takes the next LEF token
     off the front of the list."
 
-    The expression grammar and its parse tables are built once, lazily, just
-    as Linguist generates its evaluator once. *)
+    The expression grammar is built once, lazily, and bound to the parse
+    tables generated from it at build time ({!Grammar_tables}), just as
+    Linguist generates its evaluator once. *)
 
 type t = {
   grammar : Pval.t Grammar.t;
   parser_ : Pval.t Parsing.t;
 }
 
-let instance = lazy (
+let load () =
   let grammar = Expr_grammar.build () in
-  let parser_ = Parsing.create ~name:"expression AG" grammar ~eof:"LEOF" in
-  { grammar; parser_ })
+  let parser_ =
+    Parsing.bind ~name:Expr_grammar.name grammar ~eof:Expr_grammar.eof Grammar_tables.expr
+  in
+  { grammar; parser_ }
+
+let instance = lazy (load ())
 
 let grammar () = (Lazy.force instance).grammar
 let parser_ () = (Lazy.force instance).parser_

@@ -7,6 +7,17 @@ val grammar : unit -> Pval.t Grammar.t
 (** The expression attribute grammar (built once, lazily). *)
 
 val parser_ : unit -> Pval.t Parsing.t
+(** Its parser, over the tables generated at build time. *)
+
+type t = {
+  grammar : Pval.t Grammar.t;
+  parser_ : Pval.t Parsing.t;
+}
+
+val load : unit -> t
+(** Build the grammar and bind its generated tables afresh; [grammar] and
+    [parser_] share one [load].
+    @raise Parsing.Stale_tables if the tables are not the grammar's. *)
 
 (** Instrumentation goes through the process-wide telemetry registry
     ([cascade.*] counters) and the ambient phase timer ("expression

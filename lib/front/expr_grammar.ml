@@ -17,6 +17,11 @@
 module B = Grammar.Builder
 open Pval
 
+(* the parser's name in diagnostics, and the terminal the LEF list scanner
+   emits at end of input *)
+let name = "expression AG"
+let eof = "LEOF"
+
 let rule = B.rule
 let copy = B.copy
 

@@ -20,6 +20,9 @@ let nonterminals =
 
 let dummy_sres = rule ~target:(0, "SRES") ~deps:[] (fun _ -> Unit)
 
+(* DLINE: the line a declaration starts on, its leading keyword's *)
+let dline = copy ~target:(0, "DLINE") ~from:(1, "LINE")
+
 let add b =
   List.iter (fun n -> ignore (B.nonterminal b n)) nonterminals;
   let prod = B.production b in
@@ -76,9 +79,9 @@ let add b =
         (* homographs: redeclaring a non-overloadable name in the same
            declarative region is an error (LRM 10.3) *)
         rule ~target:(0, "MSGS")
-          ~deps:[ (1, "MSGS"); (2, "MSGS"); (1, "OUT"); (2, "OUT") ]
+          ~deps:[ (1, "MSGS"); (2, "MSGS"); (1, "OUT"); (2, "OUT"); (2, "DLINE") ]
           (function
-            | [ m1; m2; prev; latest ] ->
+            | [ m1; m2; prev; latest; line ] ->
               let prev_binds = (as_out prev).o_binds in
               let dups =
                 List.filter_map
@@ -86,7 +89,7 @@ let add b =
                     match List.assoc_opt n prev_binds with
                     | Some d' when (not (Denot.overloadable d)) || not (Denot.overloadable d') ->
                       Some
-                        (Diag.error ~line:0 "%s is already declared in this region" n)
+                        (Diag.error ~line:(as_int line) "%s is already declared in this region" n)
                     | _ -> None)
                   (as_out latest).o_binds
               in
@@ -113,7 +116,7 @@ let add b =
   prod ~name:"disconnect_spec" ~lhs:"disconnect_spec"
     ~rhs:[ "disconnect"; "name_list"; ":"; "name"; "after"; "expr"; ";" ]
     ~rules:
-      (out_rules
+      (dline :: out_rules
          ~deps:[ (0, "LEVEL"); (1, "LINE"); (2, "LEFS"); (6, "LEF") ]
          ~msg_deps:[ 2; 4; 6 ]
          (function
@@ -125,7 +128,7 @@ let add b =
   (* ---- types ---- *)
   prod ~name:"type_decl" ~lhs:"type_decl" ~rhs:[ "type"; "ID"; "is"; "type_def"; ";" ]
     ~rules:
-      (out_rules ~deps:[ (2, "VAL"); (4, "TYDEF") ] ~msg_deps:[ 4 ] (function
+      (dline :: out_rules ~deps:[ (2, "VAL"); (4, "TYDEF") ] ~msg_deps:[ 4 ] (function
         | [ v; tydef ] ->
           let name = tok_id v in
           let ty, extra_binds = (as_tydef tydef) name in
@@ -456,7 +459,7 @@ let add b =
   (* ---- subtypes ---- *)
   prod ~name:"subtype_decl" ~lhs:"subtype_decl" ~rhs:[ "subtype"; "ID"; "is"; "subtype_ind"; ";" ]
     ~rules:
-      (out_rules ~deps:[ (2, "VAL"); (4, "STY") ] ~msg_deps:[ 4 ] (function
+      (dline :: out_rules ~deps:[ (2, "VAL"); (4, "STY") ] ~msg_deps:[ 4 ] (function
         | [ v; sty ] ->
           let name = tok_id v in
           let ty, _ = as_sty sty in
@@ -510,7 +513,7 @@ let add b =
   prod ~name:"constant_decl" ~lhs:"constant_decl"
     ~rhs:[ "constant"; "id_list"; ":"; "subtype_ind"; "init_opt"; ";" ]
     ~rules:
-      (out_rules
+      (dline :: out_rules
          ~deps:(ctx_deps @ [ (1, "LINE"); (2, "IDS"); (4, "STY"); (5, "OLEF") ])
          ~msg_deps:[ 4 ]
          (fun vs ->
@@ -529,7 +532,7 @@ let add b =
   prod ~name:"signal_decl" ~lhs:"signal_decl"
     ~rhs:[ "signal"; "id_list"; ":"; "subtype_ind"; "sig_kind_opt"; "init_opt"; ";" ]
     ~rules:
-      (out_rules
+      (dline :: out_rules
          ~deps:(ctx_deps @ [ (1, "LINE"); (2, "IDS"); (4, "SRES"); (5, "SKIND"); (6, "OLEF") ])
          ~msg_deps:[ 4 ]
          (fun vs ->
@@ -564,7 +567,7 @@ let add b =
   prod ~name:"variable_decl" ~lhs:"variable_decl"
     ~rhs:[ "variable"; "id_list"; ":"; "subtype_ind"; "init_opt"; ";" ]
     ~rules:
-      (out_rules
+      (dline :: out_rules
          ~deps:(ctx_deps @ [ (1, "LINE"); (2, "IDS"); (4, "STY"); (5, "OLEF") ])
          ~msg_deps:[ 4 ]
          (fun vs ->
@@ -662,6 +665,7 @@ let add b =
     ~rhs:[ "function"; "ID"; "params_opt"; "return"; "name" ]
     ~rules:
       [
+        dline;
         rule ~target:(0, "SPEC")
           ~deps:[ (0, "LEVEL"); (1, "LINE"); (2, "VAL"); (3, "IFACES"); (5, "LEF") ]
           (function
@@ -685,6 +689,7 @@ let add b =
     ~rhs:[ "function"; "STRING"; "params_opt"; "return"; "name" ]
     ~rules:
       [
+        dline;
         rule ~target:(0, "SPEC")
           ~deps:[ (0, "LEVEL"); (2, "LINE"); (2, "VAL"); (3, "IFACES"); (5, "LEF") ]
           (function
@@ -745,6 +750,7 @@ let add b =
     ~rhs:[ "procedure"; "ID"; "params_opt" ]
     ~rules:
       [
+        dline;
         rule ~target:(0, "SPEC") ~deps:[ (1, "LINE"); (2, "VAL"); (3, "IFACES") ] (function
           | [ line; v; params ] ->
             Spec
@@ -865,7 +871,7 @@ let add b =
   prod ~name:"component_decl" ~lhs:"component_decl"
     ~rhs:[ "component"; "ID"; "generic_clause_opt"; "port_clause_opt"; "end"; "component"; ";" ]
     ~rules:
-      (out_rules
+      (dline :: out_rules
          ~deps:[ (1, "LINE"); (2, "VAL"); (3, "IFACES"); (4, "IFACES") ]
          ~msg_deps:[ 3; 4 ]
          (function
@@ -876,7 +882,7 @@ let add b =
   prod ~name:"attribute_decl" ~lhs:"attribute_decl"
     ~rhs:[ "attribute"; "ID"; ":"; "name"; ";" ]
     ~rules:
-      (out_rules
+      (dline :: out_rules
          ~deps:[ (0, "LEVEL"); (1, "LINE"); (2, "VAL"); (4, "LEF") ]
          ~msg_deps:[ 4 ]
          (function
@@ -887,7 +893,7 @@ let add b =
   prod ~name:"attribute_spec" ~lhs:"attribute_spec"
     ~rhs:[ "attribute"; "ID"; "of"; "ID"; ":"; "entity_class"; "is"; "expr"; ";" ]
     ~rules:
-      (out_rules
+      (dline :: out_rules
          ~deps:[ (0, "ENV"); (0, "LEVEL"); (1, "LINE"); (2, "VAL"); (4, "VAL"); (8, "LEF") ]
          ~msg_deps:[ 8 ]
          (function
@@ -902,7 +908,7 @@ let add b =
   prod ~name:"alias_decl" ~lhs:"alias_decl"
     ~rhs:[ "alias"; "ID"; ":"; "subtype_ind"; "is"; "name"; ";" ]
     ~rules:
-      (out_rules
+      (dline :: out_rules
          ~deps:[ (0, "ENV"); (1, "LINE"); (2, "VAL"); (6, "BASE"); (6, "LEF") ]
          ~msg_deps:[ 4; 6 ]
          (function
@@ -912,7 +918,7 @@ let add b =
            | _ -> internal "alias_decl"));
 
   (* ---- use / library clauses ---- *)
-  prod ~name:"use_clause" ~lhs:"use_clause" ~rhs:[ "use"; "use_names"; ";" ] ~rules:[];
+  prod ~name:"use_clause" ~lhs:"use_clause" ~rhs:[ "use"; "use_names"; ";" ] ~rules:[ dline ];
   prod ~name:"use_names_one" ~lhs:"use_names" ~rhs:[ "use_name" ]
     ~rules:
       (out_rules ~deps:[ (1, "UPARTS"); (1, "LINE1") ] ~msg_deps:[] (function
@@ -997,7 +1003,7 @@ let add b =
   prod ~name:"config_spec1" ~lhs:"config_spec1"
     ~rhs:[ "for"; "inst_spec"; ":"; "ID"; "binding_ind"; ";" ]
     ~rules:
-      (out_rules
+      (dline :: out_rules
          ~deps:[ (1, "LINE"); (2, "ISPEC"); (4, "VAL"); (5, "BIND") ]
          ~msg_deps:[]
          (function

@@ -38,7 +38,7 @@ let build () =
     ~default:(Grammar.Merge (merge_units, Units []));
   List.iter
     (fun name -> B.attr_class b ~name ~dir:Grammar.Synthesized ~default:Grammar.Copy)
-    [ "LEFS"; "WAVES"; "IFACES"; "IDS"; "ASSOCS"; "ALTS" ];
+    [ "LEFS"; "WAVES"; "IFACES"; "IDS"; "ASSOCS"; "ALTS"; "DLINE" ];
   (* inherited classes *)
   B.attr_class b ~name:"ENV" ~dir:Grammar.Inherited ~default:Grammar.Copy;
   B.attr_class b ~name:"LEVEL" ~dir:Grammar.Inherited ~default:Grammar.Copy;
@@ -93,6 +93,16 @@ let build () =
     (fun sym -> B.attr_member b ~sym ~cls:"ASSOCS")
     [ "assoc_list"; "assoc"; "gmap_opt"; "pmap_opt" ];
   List.iter (fun sym -> B.attr_member b ~sym ~cls:"ALTS") [ "case_alts"; "case_alt" ];
+  (* a declaration's first line, for diagnostics about the item as a whole
+     (homographs); declarations that start with a subprogram spec copy it *)
+  List.iter
+    (fun sym -> B.attr_member b ~sym ~cls:"DLINE")
+    [
+      "decl_item"; "type_decl"; "subtype_decl"; "constant_decl"; "signal_decl";
+      "variable_decl"; "subprog_spec"; "subprog_decl"; "subprog_body"; "component_decl";
+      "attribute_decl"; "attribute_spec"; "alias_decl"; "use_clause"; "config_spec1";
+      "disconnect_spec";
+    ];
 
   (* ---- plain attributes ---- *)
   let syn sym name = B.attr b ~sym ~name ~dir:Grammar.Synthesized in
@@ -146,13 +156,30 @@ let build () =
 
   B.freeze b ~start:"design_file"
 
-(** The grammar and its parser, built once (as Linguist generates its
-    evaluator once). *)
-let instance =
-  lazy
-    (let grammar = build () in
-     let parser_ = Parsing.create ~name:"principal VHDL AG" grammar ~eof:"EOF" in
-     (grammar, parser_))
+(* the parser's name in diagnostics, and the end-of-input terminal *)
+let name = "principal VHDL AG"
+let eof = "EOF"
 
-let grammar () = fst (Lazy.force instance)
-let parser_ () = snd (Lazy.force instance)
+(** The grammar with the parse tables and evaluation plan generated from
+    it at build time ({!Grammar_tables}), bound without recomputing
+    either: the generated compiler Linguist produces.
+    @raise Parsing.Stale_tables if the tables were generated from another
+    grammar. *)
+let load () =
+  let grammar = build () in
+  let parser_ = Parsing.bind ~name grammar ~eof Grammar_tables.principal in
+  (grammar, parser_, Analysis.plan_of_string Grammar_tables.principal_plan)
+
+let instance = lazy (load ())
+
+let grammar () =
+  let g, _, _ = Lazy.force instance in
+  g
+
+let parser_ () =
+  let _, p, _ = Lazy.force instance in
+  p
+
+let plan () =
+  let _, _, plan = Lazy.force instance in
+  plan

@@ -77,7 +77,7 @@ let parse ?(max_depth = default_max_depth) (tbl : Table.t)
     let state = List.hd !states in
     let tok = !lookahead in
     (match probe with Some p -> p state tok.t_sym | None -> ());
-    match tbl.Table.action.(state).(tok.t_sym) with
+    match Table.action tbl state tok.t_sym with
     | Table.Shift st' ->
       if !depth >= max_depth then raise (too_deep tok.t_line max_depth);
       Tm.incr m_shifts;
@@ -109,7 +109,7 @@ let parse ?(max_depth = default_max_depth) (tbl : Table.t)
       depth := !depth - arity;
       let node = reduce prod_id children in
       let state' = List.hd !states in
-      let goto = tbl.Table.goto.(state').(p.Cfg.lhs) in
+      let goto = Table.goto tbl state' p.Cfg.lhs in
       if goto < 0 then assert false;
       states := goto :: !states;
       incr depth;
@@ -249,7 +249,7 @@ let parse_recovering ?(max_errors = default_max_errors)
     let state = List.hd !states in
     let tok = !lookahead in
     (match probe with Some p -> p state tok.t_sym | None -> ());
-    match tbl.Table.action.(state).(tok.t_sym) with
+    match Table.action tbl state tok.t_sym with
     | Table.Shift st' ->
       if !depth >= max_depth then
         recover tok.t_line
@@ -285,7 +285,7 @@ let parse_recovering ?(max_errors = default_max_errors)
       depth := !depth - arity;
       let node = reduce prod_id children in
       let state' = List.hd !states in
-      let goto = tbl.Table.goto.(state').(p.Cfg.lhs) in
+      let goto = Table.goto tbl state' p.Cfg.lhs in
       if goto < 0 then assert false;
       states := goto :: !states;
       incr depth;

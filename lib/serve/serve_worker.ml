@@ -20,12 +20,13 @@
     - the warm compiler is recycled every [recycle_every] requests anyway,
       bounding diagnostic and library growth over a long-lived process.
 
-    Warmth is the point of the daemon: the LALR tables, both attribute
-    grammars and the principal AG's evaluation plan are built once per
-    process and stay hot across requests, and the working library
-    persists between requests of the same worker generation.  No
-    compile-time cache outlives a request, so a recycle leaves nothing
-    stale behind. *)
+    The LALR tables and the principal AG's evaluation plan are generated
+    at build time, so a one-shot compile pays for neither.  What the
+    daemon keeps warm is the rest: both attribute grammars' rule closures,
+    built once per process (the first request's "grammar init" phase), and
+    the working library, which persists between requests of the same
+    worker generation.  No compile-time cache outlives a request, so a
+    recycle leaves nothing stale behind. *)
 
 module Tm = Vhdl_telemetry.Telemetry
 
@@ -308,7 +309,7 @@ let handle t (rq : Serve_protocol.request) : Serve_protocol.response =
   (* exact minor count from the external — [Gc.counters]' own word
      fields are flushed only at collection boundaries on OCaml 5.1 *)
   let mi0 = Gc.minor_words () in
-  let _, pr0, ma0 = Gc.counters () in
+  let dm0 = Tm.direct_major_words_now () in
   let deadline_s = effective_deadline t.cfg rq in
   Vhdl_compiler.set_budgets t.compiler (request_budgets t.cfg rq ~deadline_s);
   let fault_denied =
@@ -363,9 +364,9 @@ let handle t (rq : Serve_protocol.request) : Serve_protocol.response =
     phase_delta ~before:allocs_before
       ~after:(Vhdl_util.Phase_timer.report_alloc timer0);
   let mi1 = Gc.minor_words () in
-  let _, pr1, ma1 = Gc.counters () in
+  let dm1 = Tm.direct_major_words_now () in
   t.last_alloc_minor_w <- Float.max 0.0 (mi1 -. mi0);
-  t.last_alloc_major_w <- Float.max 0.0 (ma1 -. pr1 -. (ma0 -. pr0));
+  t.last_alloc_major_w <- Float.max 0.0 (dm1 -. dm0);
   (match resp.Serve_protocol.rs_status with
   | Serve_protocol.Internal -> Tm.incr m_faults_contained
   | Serve_protocol.Timeout -> Tm.incr m_timeouts

@@ -240,9 +240,19 @@ let bytes_per_word = Sys.word_size / 8
 
 let minor_words_now () = Gc.minor_words ()
 
-let allocated_words_now () =
+(* OCaml 5.1.1's [caml_gc_counters] boxes its three results one after
+   another and keeps the first ones in unrooted registers, so a minor
+   collection triggered by a later box leaves the returned tuple pointing
+   into the recycled minor heap.  Reading the fields at once still sees
+   the stale, intact doubles; holding them across further allocation lets
+   the next collection follow the dangling pointers ("allocation failure
+   during minor GC", or a segfault).  So the components never leave this
+   function. *)
+let direct_major_words_now () =
   let _, pr, ma = Gc.counters () in
-  Gc.minor_words () +. ma -. pr
+  ma -. pr
+
+let allocated_words_now () = Gc.minor_words () +. direct_major_words_now ()
 
 (* ------------------------------------------------------------------ *)
 (* Spans *)

@@ -97,6 +97,11 @@ val minor_words_now : unit -> float
 (** Allocation-free snapshot of minor-heap words allocated so far
     ([Gc.minor_words]) — the per-span / per-rule mechanism. *)
 
+val direct_major_words_now : unit -> float
+(** Words allocated directly in the major heap so far (major minus
+    promoted, from [Gc.counters]).  Use this, never [Gc.counters]'
+    components kept across allocation: on OCaml 5.1.1 they can dangle. *)
+
 val allocated_words_now : unit -> float
 (** Total words allocated so far (minor + direct-major, promotions
     excluded), from [Gc.counters]; itself allocates a few words, so it

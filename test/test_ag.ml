@@ -485,10 +485,44 @@ let test_plan_principal () =
   in
   let demand = compile_with (fun _ _ -> ()) in
   let planned =
-    compile_with (fun g ev ->
-        ignore (Evaluator.evaluate_plan ev ~plan:(Analysis.plan (Analysis.compute g))))
+    compile_with (fun _ ev ->
+        ignore (Evaluator.evaluate_plan ev ~plan:(Main_grammar.plan ())))
   in
   Alcotest.(check (list string)) "plan: same units" demand planned
+
+(* the tables and plan generated at build time are exactly what the
+   generator functions compute now, for both grammars *)
+let test_generated_tables_fresh () =
+  let same name (bound : Pval.t Parsing.t) (fresh : Pval.t Parsing.t) =
+    let b = bound.Parsing.table and f = fresh.Parsing.table in
+    Alcotest.(check int) (name ^ ": states") f.Vhdl_lalr.Table.n_states b.Vhdl_lalr.Table.n_states;
+    Alcotest.(check bool) (name ^ ": action/goto cells") true
+      (String.equal f.Vhdl_lalr.Table.cells b.Vhdl_lalr.Table.cells)
+  in
+  let g = Main_grammar.build () in
+  same Main_grammar.name (Main_grammar.parser_ ())
+    (Parsing.create ~name:Main_grammar.name g ~eof:Main_grammar.eof);
+  Alcotest.(check bool) "principal plan" true
+    (Analysis.plan (Analysis.compute g) = Main_grammar.plan ());
+  same Expr_grammar.name (Expr_eval.parser_ ())
+    (Parsing.create ~name:Expr_grammar.name (Expr_grammar.build ()) ~eof:Expr_grammar.eof)
+
+(* tables bound to a grammar they were not generated from fail at bind
+   time, naming the grammar *)
+let test_stale_tables_rejected () =
+  match
+    Parsing.bind ~name:Main_grammar.name (Main_grammar.build ()) ~eof:Main_grammar.eof
+      Grammar_tables.expr
+  with
+  | _ -> Alcotest.fail "expression tables bound to the principal grammar"
+  | exception (Parsing.Stale_tables { grammar_name; expected; found } as e) ->
+    Alcotest.(check string) "names the grammar" Main_grammar.name grammar_name;
+    Alcotest.(check string) "expected the tables' fingerprint"
+      Grammar_tables.expr.Parsing.fingerprint expected;
+    Alcotest.(check string) "found the grammar's fingerprint"
+      Grammar_tables.principal.Parsing.fingerprint found;
+    Alcotest.(check bool) "the printed error names the grammar" true
+      (Astring_contains.contains (Printexc.to_string e) Main_grammar.name)
 
 let suite =
   [
@@ -496,6 +530,10 @@ let suite =
     Alcotest.test_case "principal AG is strongly noncircular" `Quick
       test_principal_ag_noncircular;
     Alcotest.test_case "plan evaluation of the principal AG" `Quick test_plan_principal;
+    Alcotest.test_case "generated tables and plan equal fresh ones" `Quick
+      test_generated_tables_fresh;
+    Alcotest.test_case "stale tables fail at bind, naming the grammar" `Quick
+      test_stale_tables_rejected;
     Alcotest.test_case "binary analysis: visits" `Quick test_binary_analysis;
     Alcotest.test_case "plan evaluation matches demand" `Quick test_plan_matches_demand;
     Alcotest.test_case "plan elides copy chains" `Quick test_plan_elides_copies;

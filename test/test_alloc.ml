@@ -267,6 +267,25 @@ let test_region_alloc_is_linear () =
     true
     (ratio < linear_region_bound)
 
+(* The grammars' set-up a compile pays once per process: both instances
+   built and bound to their build-time tables, plus the principal plan.
+   Building the tables, running the noncircularity test and computing the
+   plan in process allocated ~68 MB here; binding allocates ~3 MB, the
+   grammars' own rule closures. *)
+let grammar_init_budget_mb = 8.0
+
+let test_grammar_init_alloc () =
+  let w0 = Gc.minor_words () in
+  let _, _, _ = Main_grammar.load () in
+  ignore (Expr_eval.load ());
+  let mb = (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8) /. 1e6 in
+  Printf.printf "grammar init minor allocation: %.2f MB\n" mb;
+  Alcotest.(check bool)
+    (Printf.sprintf "grammar init allocates %.2f MB (budget %.0f MB)" mb
+       grammar_init_budget_mb)
+    true
+    (mb < grammar_init_budget_mb)
+
 let suite =
   [
     Alcotest.test_case "zero-allocation span reports exactly 0" `Quick
@@ -287,4 +306,5 @@ let suite =
       test_run_captures_allocs;
     Alcotest.test_case "declarative regions allocate linearly" `Quick
       test_region_alloc_is_linear;
+    Alcotest.test_case "grammar init allocates under 8 MB" `Quick test_grammar_init_alloc;
   ]

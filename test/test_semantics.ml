@@ -1010,8 +1010,38 @@ end t;
   | exception Rt.Simulation_error _ -> ()
   | _ -> Alcotest.fail "null dereference must raise"
 
+(* LRM 10.3: a homograph in the same declarative region is reported at
+   the line of the declaration that redeclares the name, not line 0 *)
+let test_homograph_line () =
+  let src =
+    {|entity e is
+end e;
+architecture a of e is
+  signal s : bit;
+  constant c : integer := 1;
+
+  signal s : integer;
+  subtype c is integer;
+begin
+end a;
+|}
+  in
+  match Vhdl_compiler.compile (Vhdl_compiler.create ()) src with
+  | _ -> Alcotest.fail "expected homograph errors"
+  | exception Vhdl_compiler.Compile_error ds ->
+    let redeclared =
+      List.filter_map
+        (fun (d : Diag.t) ->
+          if Astring_contains.contains d.Diag.message "already declared" then Some d.Diag.line
+          else None)
+        ds
+    in
+    Alcotest.(check (list int)) "redeclaring items' lines" [ 7; 8 ] redeclared
+
 let suite =
   [
+    Alcotest.test_case "homographs are reported at the redeclaring line" `Quick
+      test_homograph_line;
     Alcotest.test_case "access types: allocators, .all, deallocate" `Quick
       test_access_types;
     Alcotest.test_case "null dereference raises" `Quick test_null_dereference_raises;
