@@ -199,7 +199,7 @@ let compile_cmd =
     (* close the attribution ledger: "startup" is pre-driver allocation,
        "driver" the in-region residual outside every phase frame, so
        the phase.alloc_b counters sum to gc.allocated_words *)
-    let attributed_w = Vhdl_util.Phase_timer.total_alloc (Vhdl_compiler.timer c) in
+    let attributed_w = (Vhdl_util.Phase_timer.total (Vhdl_compiler.timer c)).words in
     let lifetime_w = Telemetry.allocated_words_now () in
     let publish name w =
       if w > 0.0 then
@@ -668,14 +668,7 @@ let principal_evaluation drive =
           Evaluator.create
             ~token_line:(fun n -> Pval.Int n)
             g
-            ~root_inherited:
-              [
-                ("ENV", Pval.Env Env.empty); ("LEVEL", Pval.Int (-1));
-                ("UNITNAME", Pval.Str "WORK.X"); ("CTX", Pval.Str "arch");
-                ("SLOTBASE", Pval.Int 0); ("SIGBASE", Pval.Int 0);
-                ("LOOPDEPTH", Pval.Int 0); ("RETTY", Pval.Opt None);
-                ("CTXOUT", Pval.Out Pval.out_empty); ("NLINES", Pval.Int 50);
-              ]
+            ~root_inherited:(Main_grammar.root_inherited ~unit_name:"WORK.X" ~lines:50)
             tree
         in
         drive plan ev)
@@ -704,7 +697,10 @@ let bench_suite ~suite ~warmup ~repeats ~quota =
   in
   let phases () =
     match !last with
-    | Some c -> Vhdl_util.Phase_timer.report (Vhdl_compiler.timer c)
+    | Some c ->
+      List.map
+        (fun (name, (cost : Vhdl_util.Phase_timer.cost)) -> (name, cost.seconds))
+        (Vhdl_util.Phase_timer.report (Vhdl_compiler.timer c))
     | None -> []
   in
   let session ?phases name f = Perf.run ~warmup ~repeats ?quota_s:quota ?phases ~name f in
@@ -873,11 +869,11 @@ let bench_suite ~suite ~warmup ~repeats ~quota =
             (fun name src ->
               let s = compile_experiment ~work_dir:dir name [ src ] in
               let reads =
-                match !last with
-                | Some c -> (Library.io_stats (Vhdl_compiler.work_library c)).io_reads
-                | None -> 0
+                List.assoc_opt "vif.reads" s.Perf.Sample.s_counters
+                |> Option.value ~default:0
               in
-              add_metrics s [ ("vif_reads", float_of_int reads) ])
+              let per_rep = float_of_int reads /. float_of_int (Perf.Sample.reps s) in
+              add_metrics s [ ("vif_reads", per_rep) ])
             [
               ("config/ordinary-unit", Workload.behavioral ~name:"ORD" ~states:20 ~exprs:40);
               ("config/configuration-unit", config_src);

@@ -370,6 +370,3 @@ let visits_of t sym_name =
   let parts = visit_partitions t in
   let sym = Grammar.find_symbol t.grammar sym_name in
   List.fold_left (fun acc (_, v) -> max acc v) 1 parts.(sym)
-
-let io_pairs t sym = Pair_set.elements t.io.(sym)
-let oi_pairs t sym = Pair_set.elements t.oi.(sym)

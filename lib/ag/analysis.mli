@@ -63,7 +63,3 @@ val max_visits : 'v t -> int
 val visits_of : 'v t -> string -> int
 (** Visits needed for one symbol, by name. *)
 
-val io_pairs : 'v t -> int -> (int * int) list
-(** IO(symbol): (inherited, synthesized) induced dependencies. *)
-
-val oi_pairs : 'v t -> int -> (int * int) list

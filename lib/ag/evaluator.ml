@@ -61,7 +61,7 @@ type 'v t = {
      is on every attribute evaluation, so linear scans add up *)
   rule_index : (int * int * int, 'v Grammar.rule) Hashtbl.t;
   mutable rule_applications : int; (* instrumentation for the benches *)
-  mutable fuel : int option; (* rule-application budget, None = unlimited *)
+  fuel : int option; (* rule-application budget, None = unlimited *)
   tick : unit -> unit; (* periodic hook (deadline checks), every 256 rules *)
   prov : 'v provenance option;
   copy_elide : bool;
@@ -130,8 +130,6 @@ let create ?token_line ?fuel ?(tick = fun () -> ()) ?provenance
     prov = provenance;
     copy_elide;
   }
-
-let set_fuel t fuel = t.fuel <- fuel
 
 let find_rule t prod_id (target : Grammar.occurrence) =
   let key = (prod_id, target.Grammar.pos, target.Grammar.attr) in
@@ -411,17 +409,5 @@ let clear_in_progress t =
     in
     List.iter (Hashtbl.remove node.n_cache) stale;
     Array.iter walk node.n_children
-  in
-  walk t.root
-
-(** Force every declared attribute of every node (demand order). *)
-let evaluate_all t =
-  let g = t.grammar in
-  let rec walk node =
-    Array.iter walk node.n_children;
-    if node.n_prod >= 0 then begin
-      let p = Grammar.production g node.n_prod in
-      List.iter (fun attr -> ignore (eval_node t node attr)) (Grammar.attrs_of g p.Grammar.lhs)
-    end
   in
   walk t.root

@@ -20,9 +20,9 @@ exception
   }
 
 exception Fuel_exhausted of { applications : int; limit : int }
-(** Raised when the rule-application budget given to {!create} (or
-    {!set_fuel}) runs out — the resource-containment hook: a runaway
-    evaluation surfaces as a catchable, structured condition. *)
+(** Raised when the rule-application budget given to {!create} runs out —
+    the resource-containment hook: a runaway evaluation surfaces as a
+    catchable, structured condition. *)
 
 type 'v provenance = Provenance.t * string * ('v -> string)
 (** A provenance hook: the recorder, the AG's label in the records (e.g.
@@ -50,17 +50,12 @@ val create :
     applying the identity rule — see {!Grammar.rule.copy_of}; the
     differential oracle's reference side turns it off. *)
 
-val set_fuel : 'v t -> int option -> unit
-
 val goal : 'v t -> string -> 'v
 (** Value of a synthesized attribute at the root — the paper's "goal
     attributes", the results of the translation. *)
 
 val rule_applications : 'v t -> int
 (** Semantic-rule applications so far (bench instrumentation). *)
-
-val evaluate_all : 'v t -> unit
-(** Force every declared attribute of every node (demand order). *)
 
 (** {1 Per-region evaluation}
 

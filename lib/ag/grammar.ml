@@ -16,10 +16,6 @@ type direction =
   | Inherited
   | Synthesized
 
-let pp_direction fmt = function
-  | Inherited -> Format.pp_print_string fmt "inherited"
-  | Synthesized -> Format.pp_print_string fmt "synthesized"
-
 (** An attribute occurrence inside a production: position 0 is the left-hand
     side, positions 1..n are the right-hand-side symbols in order. *)
 type occurrence = { pos : int; attr : int }
@@ -73,8 +69,6 @@ type 'v t = {
   (* attributes declared on each symbol, by symbol id *)
   sym_attrs : int list array;
   productions : 'v production array;
-  (* productions with a given lhs, by symbol id *)
-  prods_of : int list array;
   start : int;
   token_value_attr : int; (* the implicit VAL attribute of every terminal *)
   token_line_attr : int; (* the implicit LINE attribute of every terminal *)
@@ -88,7 +82,6 @@ let production g id = g.productions.(id)
 let n_symbols g = Interner.count g.symbols
 let n_productions g = Array.length g.productions
 let attrs_of g sym = g.sym_attrs.(sym)
-let productions_of g sym = g.prods_of.(sym)
 
 let find_symbol g name =
   match Interner.find_opt g.symbols name with
@@ -497,11 +490,8 @@ module Builder = struct
           })
         specs
     in
-    let prods_of = Array.make n_syms [] in
-    Array.iter
-      (fun p -> prods_of.(p.lhs) <- p.prod_id :: prods_of.(p.lhs))
-      productions;
-    Array.iteri (fun i l -> prods_of.(i) <- List.rev l) prods_of;
+    let has_prods = Array.make n_syms false in
+    Array.iter (fun p -> has_prods.(p.lhs) <- true) productions;
     let start =
       match Interner.find_opt b.b_symbols start with
       | Some id when not is_terminal.(id) -> id
@@ -510,7 +500,7 @@ module Builder = struct
     in
     (* every nonterminal must have a production *)
     for sym = 0 to n_syms - 1 do
-      if (not is_terminal.(sym)) && prods_of.(sym) = [] then
+      if (not is_terminal.(sym)) && not has_prods.(sym) then
         ill_formed "nonterminal %s has no productions" (Interner.name b.b_symbols sym)
     done;
     {
@@ -520,7 +510,6 @@ module Builder = struct
       is_terminal;
       sym_attrs;
       productions;
-      prods_of;
       start;
       token_value_attr;
       token_line_attr;

@@ -15,8 +15,6 @@ type direction =
   | Inherited
   | Synthesized
 
-val pp_direction : Format.formatter -> direction -> unit
-
 (** An attribute occurrence inside a production: position 0 is the
     left-hand side, positions 1..n the right-hand-side symbols in order. *)
 type occurrence = { pos : int; attr : int }
@@ -67,7 +65,6 @@ type 'v t = {
   is_terminal : bool array;
   sym_attrs : int list array;
   productions : 'v production array;
-  prods_of : int list array;
   start : int;
   token_value_attr : int; (* the implicit VAL attribute of every terminal *)
   token_line_attr : int; (* the implicit LINE attribute of every terminal *)
@@ -81,7 +78,6 @@ val production : 'v t -> int -> 'v production
 val n_symbols : 'v t -> int
 val n_productions : 'v t -> int
 val attrs_of : 'v t -> int -> int list
-val productions_of : 'v t -> int -> int list
 val find_symbol : 'v t -> string -> int
 val find_attr : 'v t -> string -> int
 

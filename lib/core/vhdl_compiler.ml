@@ -289,7 +289,6 @@ let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
            the VIF I/O charge their own nested phase frames, so the timer's
            self-time accounting separates them without any bookkeeping
            here *)
-        Library.reset_io_stats t.work;
         let ev =
           Evaluator.create
             ~token_line:(fun n -> Pval.Int n)
@@ -300,18 +299,7 @@ let compile ?(fail_on_error = true) t source : Unit_info.compiled_unit list =
               (Option.map (fun r -> (r, "vhdl", Pval.summary)) t.provenance)
             grammar
             ~root_inherited:
-              [
-                ("ENV", Pval.Env Env.empty);
-                ("LEVEL", Pval.Int (-1));
-                ("UNITNAME", Pval.Str "WORK.%FILE%");
-                ("CTX", Pval.Str "arch");
-                ("SLOTBASE", Pval.Int 0);
-                ("SIGBASE", Pval.Int 0);
-                ("LOOPDEPTH", Pval.Int 0);
-                ("RETTY", Pval.Opt None);
-                ("CTXOUT", Pval.Out Pval.out_empty);
-                ("NLINES", Pval.Int source_lines);
-              ]
+              (Main_grammar.root_inherited ~unit_name:"WORK.%FILE%" ~lines:source_lines)
             tree
         in
         let units, msgs, report =
@@ -362,7 +350,6 @@ let elaborate ?arch ?configuration ?(trace = true) t ~top () : simulation =
     | Some c -> Elaborate.Top_configuration c
     | None -> Elaborate.Top_entity { entity = String.uppercase_ascii top; arch }
   in
-  Library.reset_io_stats t.work;
   (* elaboration's own foreign-reference reads charge the nested "VIF read"
      phase frames the library opens, so they never pollute this phase *)
   let model =

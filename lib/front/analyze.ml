@@ -1,18 +1,5 @@
-(** The analyzer: source text -> compiled design units.
-
-    Drives scanner, LALR parser, and the demand attribute evaluator of the
-    principal AG, then extracts the goal attributes (UNITS and MSGS) — the
-    paper's "results of the translation". *)
-
-type result = {
-  r_units : Unit_info.compiled_unit list;
-  r_msgs : Diag.t list;
-  r_source_lines : int;
-  r_tree_size : int;
-  r_rule_applications : int;
-}
-
-exception Analysis_error of Diag.t list
+(** The scanner's output as the principal AG's parser reads it: each
+    token paired with its grammar terminal and its source line. *)
 
 let tokens_of_source src =
   let toks = Lexer.tokenize src in
@@ -25,63 +12,3 @@ let tokens_of_source src =
         t_line = line;
       })
     toks
-
-(** Analyze a source text within [session].  Parse errors and lexical errors
-    raise {!Analysis_error}; semantic diagnostics are returned in
-    [r_msgs]. *)
-let analyze ~(session : Session.t) (src : string) : result =
-  Session.with_session session (fun () ->
-      let grammar = Main_grammar.grammar () in
-      let parser_ = Main_grammar.parser_ () in
-      let source_lines = Lexer.source_lines src in
-      let tokens =
-        try tokens_of_source src
-        with Lexer.Lex_error { line; msg } ->
-          raise (Analysis_error [ Diag.error ~line "%s" msg ])
-      in
-      let tree =
-        try Parsing.parse_list parser_ ~eof_value:Pval.Unit tokens
-        with Vhdl_lalr.Driver.Syntax_error { line; found; expected } ->
-          raise
-            (Analysis_error
-               [
-                 Diag.error ~line "syntax error: unexpected %s%s" found
-                   (if List.length expected <= 8 then
-                      " (expected " ^ String.concat ", " expected ^ ")"
-                    else "");
-               ])
-      in
-      let ev =
-        Evaluator.create ~token_line:(fun n -> Pval.Int n) grammar
-          ~root_inherited:
-            [
-              ("ENV", Pval.Env Env.empty);
-              ("LEVEL", Pval.Int (-1));
-              ("UNITNAME", Pval.Str (session.Session.work_library ^ ".%FILE%"));
-              ("CTX", Pval.Str "arch");
-              ("SLOTBASE", Pval.Int 0);
-              ("SIGBASE", Pval.Int 0);
-              ("LOOPDEPTH", Pval.Int 0);
-              ("RETTY", Pval.Opt None);
-              ("CTXOUT", Pval.Out Pval.out_empty);
-              ("NLINES", Pval.Int source_lines);
-            ]
-          tree
-      in
-      let units = Pval.as_units (Evaluator.goal ev "UNITS") in
-      let msgs = Pval.as_msgs (Evaluator.goal ev "MSGS") in
-      (* NLINES reaches each unit as the whole file's count; apportion it *)
-      let n = max 1 (List.length units) in
-      let units =
-        List.map
-          (fun (u : Unit_info.compiled_unit) ->
-            { u with Unit_info.u_source_lines = u.Unit_info.u_source_lines / n })
-          units
-      in
-      {
-        r_units = units;
-        r_msgs = msgs;
-        r_source_lines = source_lines;
-        r_tree_size = Tree.size tree;
-        r_rule_applications = Evaluator.rule_applications ev;
-      })

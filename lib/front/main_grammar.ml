@@ -156,6 +156,23 @@ let build () =
 
   B.freeze b ~start:"design_file"
 
+(** The starting values of the root's inherited attributes: an empty
+    environment outside every unit and region, [unit_name] as the unit
+    being compiled, and [lines] source lines. *)
+let root_inherited ~unit_name ~lines =
+  [
+    ("ENV", Env Env.empty);
+    ("LEVEL", Int (-1));
+    ("UNITNAME", Str unit_name);
+    ("CTX", Str "arch");
+    ("SLOTBASE", Int 0);
+    ("SIGBASE", Int 0);
+    ("LOOPDEPTH", Int 0);
+    ("RETTY", Opt None);
+    ("CTXOUT", Out out_empty);
+    ("NLINES", Int lines);
+  ]
+
 (* the parser's name in diagnostics, and the end-of-input terminal *)
 let name = "principal VHDL AG"
 let eof = "EOF"

@@ -42,8 +42,3 @@ let elements t =
 let is_empty t =
   let rec scan b = b >= Bytes.length t.bits || (Bytes.get t.bits b = '\000' && scan (b + 1)) in
   scan 0
-
-let cardinal t =
-  let n = ref 0 in
-  iter t (fun _ -> incr n);
-  !n

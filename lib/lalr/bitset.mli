@@ -13,4 +13,3 @@ val union_into : into:t -> t -> bool
 val iter : t -> (int -> unit) -> unit
 val elements : t -> int list
 val is_empty : t -> bool
-val cardinal : t -> int

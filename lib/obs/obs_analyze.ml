@@ -25,10 +25,7 @@ type request = {
   rq_ts : float;
   rq_verb : string;
   rq_status : string;
-  rq_service_us : float option;
-  rq_phases_us : (string * float) list;
-  rq_allocs_b : (string * float) list;
-  rq_alloc_b : float option;
+  rq_ledger : Obs_attr.ledger option; (* None: answered before it ran *)
 }
 
 type slow = {
@@ -62,17 +59,9 @@ type report = {
   a_slices : slice list; (* per-window timeline *)
 }
 
-(* (ts, latency, phases, allocs, alloc_b, shed, internal) — the
-   observable outcome of one request, ready to replay into an Obs_slo
-   window *)
-type outcome =
-  float
-  * float option
-  * (string * float) list
-  * (string * float) list
-  * float
-  * bool
-  * bool
+(* (ts, ledger, shed, internal) — the observable outcome of one
+   request, ready to replay into an Obs_slo window *)
+type outcome = float * Obs_attr.ledger option * bool * bool
 
 let count_into tbl key =
   Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
@@ -82,6 +71,14 @@ let sorted_counts tbl =
   |> List.sort (fun (ka, a) (kb, b) ->
          if a <> b then compare b a else compare ka kb)
 
+let phases_us r =
+  match r.rq_ledger with
+  | Some l -> Obs_attr.phase_us l.Obs_attr.phases
+  | None -> []
+
+let service_us r =
+  match r.rq_ledger with Some l -> l.Obs_attr.service_us | None -> 0.0
+
 let sum_phases (requests : request list) =
   let tbl = Hashtbl.create 8 in
   List.iter
@@ -90,7 +87,7 @@ let sum_phases (requests : request list) =
         (fun (name, us) ->
           Hashtbl.replace tbl name
             (us +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0))
-        r.rq_phases_us)
+        (phases_us r))
     requests;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
@@ -100,7 +97,7 @@ let sum_phases (requests : request list) =
 let replay_window (outcomes : outcome list) =
   let first, last =
     List.fold_left
-      (fun (lo, hi) (ts, _, _, _, _, _, _) -> (Float.min lo ts, Float.max hi ts))
+      (fun (lo, hi) (ts, _, _, _) -> (Float.min lo ts, Float.max hi ts))
       (infinity, neg_infinity) outcomes
   in
   let first = if first = infinity then 0.0 else first in
@@ -108,9 +105,8 @@ let replay_window (outcomes : outcome list) =
   let span_s = Float.max 0.0 (last -. first) in
   let slo = Obs_slo.create ~window_s:(Float.max 1.0 ((span_s +. 1.0) *. 2.0)) () in
   List.iter
-    (fun (ts, latency_us, phases, allocs, alloc_b, shed, internal) ->
-      Obs_slo.observe slo ~now:ts ?latency_us ~phases ~allocs ~alloc_b ~shed
-        ~internal ())
+    (fun (ts, ledger, shed, internal) ->
+      Obs_slo.observe slo ~now:ts ?ledger ~shed ~internal ())
     outcomes;
   Obs_slo.summary slo ~now:last
 
@@ -153,17 +149,14 @@ let analyze ?(window_s = 60.0) ?(top_k = 5) (events : Obs_event.t list) : report
             rq_ts = e.Obs_event.e_ts;
             rq_verb = Option.value (Hashtbl.find_opt verbs rid) ~default:"?";
             rq_status = status;
-            rq_service_us = Obs_event.field_num e "service_us";
-            rq_phases_us = Obs_event.phase_fields e;
-            rq_allocs_b = Obs_event.alloc_fields e;
-            rq_alloc_b = Obs_event.field_num e "alloc_b";
+            rq_ledger = Obs_attr.of_event e;
           }
           :: !finishes
       | Obs_event.Shed ->
         count_into shed_reasons
           (Option.value (Obs_event.field_str e "reason") ~default:"?");
         shed_outcomes :=
-          (e.Obs_event.e_ts, None, [], [], 0.0, true, false) :: !shed_outcomes
+          (e.Obs_event.e_ts, None, true, false) :: !shed_outcomes
       | Obs_event.Reject -> incr rejects
       | Obs_event.Recycle -> incr recycles
       | Obs_event.Breach -> incr breaches
@@ -182,12 +175,8 @@ let analyze ?(window_s = 60.0) ?(top_k = 5) (events : Obs_event.t list) : report
   let outcomes : outcome list =
     List.map
       (fun r ->
-        let inline = inline_verb r.rq_verb in
         ( r.rq_ts,
-          (if inline then None else r.rq_service_us),
-          (if inline then [] else r.rq_phases_us),
-          (if inline then [] else r.rq_allocs_b),
-          (if inline then 0.0 else Option.value r.rq_alloc_b ~default:0.0),
+          (if inline_verb r.rq_verb then None else r.rq_ledger),
           false,
           r.rq_status = "internal" ))
       finishes
@@ -195,11 +184,8 @@ let analyze ?(window_s = 60.0) ?(top_k = 5) (events : Obs_event.t list) : report
   in
   let a_summary = replay_window outcomes in
   let measured =
-    List.filter (fun r -> r.rq_service_us <> None) finishes
-    |> List.sort (fun a b ->
-           compare
-             (Option.value b.rq_service_us ~default:0.0)
-             (Option.value a.rq_service_us ~default:0.0))
+    List.filter (fun r -> r.rq_ledger <> None) finishes
+    |> List.sort (fun a b -> compare (service_us b) (service_us a))
   in
   let a_tail_phase_us =
     match measured with
@@ -213,8 +199,8 @@ let analyze ?(window_s = 60.0) ?(top_k = 5) (events : Obs_event.t list) : report
           sl_rid = r.rq_rid;
           sl_verb = r.rq_verb;
           sl_status = r.rq_status;
-          sl_service_us = Option.value r.rq_service_us ~default:0.0;
-          sl_phases_us = r.rq_phases_us;
+          sl_service_us = service_us r;
+          sl_phases_us = phases_us r;
         })
       (take top_k measured)
   in
@@ -223,7 +209,7 @@ let analyze ?(window_s = 60.0) ?(top_k = 5) (events : Obs_event.t list) : report
   let window_s = Float.max 1e-3 window_s in
   let slice_tbl = Hashtbl.create 8 in
   List.iter
-    (fun ((ts, _, _, _, _, _, _) as o) ->
+    (fun ((ts, _, _, _) as o) ->
       let i = int_of_float ((ts -. first_ts) /. window_s) in
       Hashtbl.replace slice_tbl i
         (o :: Option.value (Hashtbl.find_opt slice_tbl i) ~default:[]))
@@ -266,17 +252,17 @@ let series_of (events : Obs_event.t list) : (string * float array) list =
   let phase_tbl : (string, float list ref) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun e ->
-      if e.Obs_event.e_kind = Obs_event.Finish then begin
-        (match Obs_event.field_num e "service_us" with
-        | Some us -> service := (us *. 1e-6) :: !service
-        | None -> ());
-        List.iter
-          (fun (name, us) ->
-            match Hashtbl.find_opt phase_tbl name with
-            | Some r -> r := (us *. 1e-6) :: !r
-            | None -> Hashtbl.add phase_tbl name (ref [ us *. 1e-6 ]))
-          (Obs_event.phase_fields e)
-      end)
+      if e.Obs_event.e_kind = Obs_event.Finish then
+        match Obs_attr.of_event e with
+        | Some l ->
+          service := (l.Obs_attr.service_us *. 1e-6) :: !service;
+          List.iter
+            (fun (name, us) ->
+              match Hashtbl.find_opt phase_tbl name with
+              | Some r -> r := (us *. 1e-6) :: !r
+              | None -> Hashtbl.add phase_tbl name (ref [ us *. 1e-6 ]))
+            (Obs_attr.phase_us l.Obs_attr.phases)
+        | None -> ())
     events;
   ("service", Array.of_list (List.rev !service))
   :: (Hashtbl.fold (fun name r acc -> (name, Array.of_list (List.rev !r)) :: acc)

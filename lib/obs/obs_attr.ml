@@ -1,6 +1,6 @@
-(** Phase attribution: the vocabulary connecting the compiler's
-    {!Vhdl_util.Phase_timer} phase names, the ["ph_<name>"] fields a
-    finish event carries, the per-phase window aggregation in
+(** Phase attribution: the per-request ledger connecting the compiler's
+    {!Vhdl_util.Phase_timer} phases, the ["ph_<name>"]/["al_<name>"]
+    fields a finish event carries, the per-phase window aggregation in
     {!Obs_slo}, and the "p99 driven by: elaborate 48%" line operators
     read.
 
@@ -10,13 +10,13 @@
     worker stamping phases, the breach event naming a culprit, and
     [vhdlc analyze] tabulating a log all agree.
 
-    Attribution is in microseconds throughout — the unit of
-    [service_us] and the SLO window.  The ["other"] pseudo-phase holds
-    whatever service time no compiler phase claimed (queue-adjacent
-    work, protocol framing, response delivery), which is what makes the
-    per-event invariant "phase sum ≈ latency" hold by construction:
-    phases measure self time {e inside} the worker, latency is measured
-    around the whole request. *)
+    A ledger carries each phase's cost on two axes, microseconds of self
+    time (the unit of [service_us] and the SLO window) and bytes of
+    self-allocation.  The ["other"] pseudo-phase holds whatever service
+    time and allocation no compiler phase claimed, which is what makes
+    the per-event invariants "phase sum ≈ latency" and "al_* sum ≈
+    alloc_b" hold by construction: phases measure self cost {e inside}
+    the worker, the totals are measured around the whole request. *)
 
 let sanitize name =
   String.map
@@ -38,45 +38,107 @@ let short_phase = function
   | "simulation" -> "simulate"
   | other -> sanitize other
 
-(** Short-named phase attribution of one request: positive phase
-    self-times (microseconds) plus the ["other"] residual, summing to
-    [service_us] exactly as long as the phases fit inside the latency
-    (they do — self time nests inside the request's wall clock). *)
-let with_other ~service_us (phases_us : (string * float) list) =
+type cost = { us : float; bytes : float }
+
+type ledger = {
+  service_us : float;
+  alloc_b : float; (* minor + direct-major *)
+  alloc_minor_b : float;
+  alloc_major_b : float; (* promotions excluded *)
+  phases : (string * cost) list;
+}
+
+let empty =
+  {
+    service_us = 0.0;
+    alloc_b = 0.0;
+    alloc_minor_b = 0.0;
+    alloc_major_b = 0.0;
+    phases = [];
+  }
+
+let other = "other"
+
+(** Settle one request's ledger: positive phases short-named, plus the
+    ["other"] residual on both axes — service time and allocation no
+    compiler phase claimed (queue-adjacent work, protocol framing,
+    response delivery, span bookkeeping) — so each axis sums to its
+    total exactly as long as the phases fit inside it (they do: self
+    cost nests inside the request). *)
+let with_other ~service_us (l : ledger) =
   let named =
     List.filter_map
-      (fun (name, us) ->
-        if us > 0.0 then Some (short_phase name, us) else None)
-      phases_us
+      (fun (name, c) ->
+        if c.us > 0.0 || c.bytes > 0.0 then Some (short_phase name, c) else None)
+      l.phases
   in
-  let sum = List.fold_left (fun a (_, v) -> a +. v) 0.0 named in
-  named @ [ ("other", Float.max 0.0 (service_us -. sum)) ]
-
-(** The event fields of an attribution: one numeric ["ph_<name>"] per
-    phase. *)
-let fields (phases_us : (string * float) list) =
-  List.map
-    (fun (name, us) -> (Obs_event.phase_prefix ^ name, Obs_event.F us))
-    phases_us
-
-(** The allocation twin of {!with_other}: short-named positive per-phase
-    self-allocated bytes plus the ["other"] residual (request allocation
-    no compiler phase claimed — protocol framing, span bookkeeping), so
-    the ["al_*"] fields sum to [alloc_b] by construction. *)
-let with_other_alloc ~alloc_b (allocs_b : (string * float) list) =
-  let named =
-    List.filter_map
-      (fun (name, b) -> if b > 0.0 then Some (short_phase name, b) else None)
-      allocs_b
+  let residual total get =
+    Float.max 0.0 (total -. List.fold_left (fun a (_, c) -> a +. get c) 0.0 named)
   in
-  let sum = List.fold_left (fun a (_, v) -> a +. v) 0.0 named in
-  named @ [ ("other", Float.max 0.0 (alloc_b -. sum)) ]
+  let rest =
+    {
+      us = residual service_us (fun c -> c.us);
+      bytes = residual l.alloc_b (fun c -> c.bytes);
+    }
+  in
+  { l with service_us; phases = named @ [ (other, rest) ] }
 
-(** One numeric ["al_<name>"] event field (bytes) per phase. *)
-let fields_alloc (allocs_b : (string * float) list) =
-  List.map
-    (fun (name, b) -> (Obs_event.alloc_prefix ^ name, Obs_event.F b))
-    allocs_b
+(* one axis of a phase table: the phases positive on it, and ["other"]
+   always — exactly the ph_* / al_* fields a finish event carries *)
+let axis get phases =
+  List.filter_map
+    (fun (name, c) ->
+      let v = get c in
+      if v > 0.0 || name = other then Some (name, v) else None)
+    phases
+
+let phase_us phases = axis (fun c -> c.us) phases
+let phase_b phases = axis (fun c -> c.bytes) phases
+
+(** The finish-event fields of a ledger, in log order: [service_us],
+    one ["ph_<name>"] (microseconds) and one ["al_<name>"] (bytes) per
+    phase, then the allocation totals the ["al_*"] fields sum to. *)
+let fields (l : ledger) =
+  let num prefix = List.map (fun (name, v) -> (prefix ^ name, Obs_event.F v)) in
+  List.concat
+    [
+      [ ("service_us", Obs_event.F l.service_us) ];
+      num Obs_event.phase_prefix (phase_us l.phases);
+      num Obs_event.alloc_prefix (phase_b l.phases);
+      [
+        ("alloc_b", Obs_event.F l.alloc_b);
+        ("alloc_minor_b", Obs_event.F l.alloc_minor_b);
+        ("alloc_major_b", Obs_event.F l.alloc_major_b);
+      ];
+    ]
+
+(** The ledger a finish event carries, read back from its fields; [None]
+    for a finish without [service_us] (a request answered before it
+    ran).  A phase missing from one axis costs 0 there. *)
+let of_event (e : Obs_event.t) =
+  match Obs_event.field_num e "service_us" with
+  | None -> None
+  | Some service_us ->
+    let num k = Option.value (Obs_event.field_num e k) ~default:0.0 in
+    let timed =
+      List.map
+        (fun (name, us) -> (name, { us; bytes = 0.0 }))
+        (Obs_event.phase_fields e)
+    in
+    let add_bytes acc (name, bytes) =
+      if List.mem_assoc name acc then
+        List.map (fun (n, c) -> if n = name then (n, { c with bytes }) else (n, c)) acc
+      else acc @ [ (name, { us = 0.0; bytes }) ]
+    in
+    let phases = List.fold_left add_bytes timed (Obs_event.alloc_fields e) in
+    Some
+      {
+        service_us;
+        alloc_b = num "alloc_b";
+        alloc_minor_b = num "alloc_minor_b";
+        alloc_major_b = num "alloc_major_b";
+        phases;
+      }
 
 (** ["elaborate 48%, cascade 31%"] — the largest [top] shares of a
     phase table, shares below 1% elided; [""] when there is nothing to
@@ -97,19 +159,3 @@ let attribution ?(top = 3) (phases_us : (string * float) list) =
            else Some (Printf.sprintf "%s %.0f%%" name pct))
     |> String.concat ", "
   end
-
-(** The adaptive slow-request threshold: above it, a finished request
-    earns an exemplar dump.  With a p99 objective configured the
-    operator has already said what "slow" means — the objective itself.
-    Without one, slow is [k]× the window's p50, once the window holds
-    at least [min_observed] measured requests (an empty or near-empty
-    window has no defensible p50; no threshold, no exemplars, rather
-    than dumping on the first warm-up request). *)
-let exemplar_threshold_us ~(objectives : Obs_slo.objectives)
-    ~(summary : Obs_slo.summary) ~k ~min_observed : float option =
-  match objectives.Obs_slo.o_p99_ms with
-  | Some p99_ms -> Some (p99_ms *. 1000.0)
-  | None ->
-    if summary.Obs_slo.s_observed >= min_observed && summary.Obs_slo.s_p50_us > 0.0
-    then Some (k *. summary.Obs_slo.s_p50_us)
-    else None

@@ -1,39 +1,45 @@
-(** Phase attribution: maps the compiler's prose phase names to the
-    short ["ph_<name>"] event fields, renders "p99 driven by" strings,
-    and decides the adaptive slow-request (exemplar) threshold.
-    Microseconds throughout. *)
+(** Phase attribution: the per-request ledger of phase costs (self time
+    in microseconds, self-allocation in bytes), the short ["ph_<name>"] /
+    ["al_<name>"] event fields it becomes, and the "p99 driven by"
+    strings rendered from it. *)
 
 val short_phase : string -> string
 (** ["attribute evaluation"] → ["attrs"], ["codegen+link (elaboration)"]
     → ["elaborate"], …; unknown names are sanitized to [[A-Za-z0-9_]]. *)
 
-val with_other : service_us:float -> (string * float) list -> (string * float) list
-(** Short-named positive phase self-times plus the ["other"] residual
-    (service time no compiler phase claimed), summing to [service_us]. *)
+type cost = { us : float; bytes : float }
+(** One phase's share of a request: self time and self-allocation. *)
 
-val fields : (string * float) list -> (string * Obs_event.field_value) list
-(** One numeric ["ph_<name>"] event field per phase. *)
+type ledger = {
+  service_us : float;
+  alloc_b : float; (* minor + direct-major *)
+  alloc_minor_b : float;
+  alloc_major_b : float; (* promotions excluded *)
+  phases : (string * cost) list;
+}
+(** What one request cost, phase by phase. *)
 
-val with_other_alloc :
-  alloc_b:float -> (string * float) list -> (string * float) list
-(** The allocation twin of {!with_other}: short-named positive per-phase
-    self-allocated bytes plus the ["other"] residual, summing to
-    [alloc_b]. *)
+val empty : ledger
 
-val fields_alloc : (string * float) list -> (string * Obs_event.field_value) list
-(** One numeric ["al_<name>"] event field (bytes) per phase. *)
+val with_other : service_us:float -> ledger -> ledger
+(** Settle a measured ledger: phases positive on either axis, with short
+    names, then the ["other"] residual on both axes, so the phases' time
+    sums to [service_us] and their bytes to [alloc_b]. *)
+
+val phase_us : (string * cost) list -> (string * float) list
+(** The time axis: phases with positive time, and ["other"] always. *)
+
+val phase_b : (string * cost) list -> (string * float) list
+(** The allocation axis: phases with positive bytes, and ["other"]
+    always. *)
+
+val fields : ledger -> (string * Obs_event.field_value) list
+(** The ledger as finish-event fields: [service_us], the [ph_*] axis,
+    the [al_*] axis, then [alloc_b], [alloc_minor_b], [alloc_major_b]. *)
+
+val of_event : Obs_event.t -> ledger option
+(** The ledger a finish event carries ([None] without [service_us]). *)
 
 val attribution : ?top:int -> (string * float) list -> string
 (** ["elaborate 48%, cascade 31%"] — the largest [top] (default 3)
     shares, sub-1% shares elided; [""] when nothing to attribute. *)
-
-val exemplar_threshold_us :
-  objectives:Obs_slo.objectives ->
-  summary:Obs_slo.summary ->
-  k:float ->
-  min_observed:int ->
-  float option
-(** Latency above which a finished request earns an exemplar dump: the
-    p99 objective when one is configured, else [k] × the window p50
-    once the window holds [min_observed] measured requests ([None]
-    before that — no defensible baseline, no dumping). *)

@@ -251,6 +251,16 @@ let check_log (events : t list) : string list =
   let last_accept = ref min_int in
   let starts = Hashtbl.create 64 and finishes = Hashtbl.create 64 in
   let count tbl rid = Hashtbl.replace tbl rid (1 + Option.value (Hashtbl.find_opt tbl rid) ~default:0) in
+  let conserve ~rid ~what ~total ~unit ~floor parts = function
+    | None -> ()
+    | Some _ when parts = [] -> ()
+    | Some expected ->
+      let sum = List.fold_left (fun a (_, v) -> a +. v) 0.0 parts in
+      let tolerance = Float.max (0.10 *. expected) floor in
+      if Float.abs (sum -. expected) > tolerance then
+        bad "rid %d finish: %s sum %.0f%s disagrees with %s %.0f%s (tolerance %.0f%s)"
+          rid what sum unit total expected unit tolerance unit
+  in
   List.iter
     (fun e ->
       match (e.e_kind, e.e_rid) with
@@ -268,40 +278,16 @@ let check_log (events : t list) : string list =
         if e.e_kind = Start then count starts rid;
         if e.e_kind = Finish then begin
           count finishes rid;
-          (* phase attribution must account for the latency it explains:
-             a finish that carries both service_us and ph_* fields has
-             their sum within 10% of the latency (1us floor so a
-             sub-microsecond daemon-verb answer never false-positives) *)
-          (match field_num e "service_us" with
-          | None -> ()
-          | Some svc -> (
-            match phase_fields e with
-            | [] -> ()
-            | phases ->
-              let sum = List.fold_left (fun a (_, v) -> a +. v) 0.0 phases in
-              let tolerance = Float.max (0.10 *. svc) 1.0 in
-              if Float.abs (sum -. svc) > tolerance then
-                bad
-                  "rid %d finish: phase sum %.0fus disagrees with service_us \
-                   %.0fus (tolerance %.0fus)"
-                  rid sum svc tolerance));
-          (* allocation attribution must likewise account for the total
-             it explains: al_* bytes sum to alloc_b within 10%, with a
-             page-ish floor so GC-counter granularity on a tiny request
-             never false-positives *)
-          match field_num e "alloc_b" with
-          | None -> ()
-          | Some total -> (
-            match alloc_fields e with
-            | [] -> ()
-            | allocs ->
-              let sum = List.fold_left (fun a (_, v) -> a +. v) 0.0 allocs in
-              let tolerance = Float.max (0.10 *. total) 4096.0 in
-              if Float.abs (sum -. total) > tolerance then
-                bad
-                  "rid %d finish: alloc sum %.0fB disagrees with alloc_b \
-                   %.0fB (tolerance %.0fB)"
-                  rid sum total tolerance)
+          (* each attribution must account for the total it explains:
+             the ph_* fields sum to within 10% of service_us (a 1us
+             floor so a sub-microsecond daemon-verb answer never
+             false-positives), the al_* bytes to within 10% of alloc_b
+             (a page-ish floor so GC-counter granularity on a tiny
+             request never false-positives) *)
+          conserve ~rid ~what:"phase" ~total:"service_us" ~unit:"us" ~floor:1.0
+            (phase_fields e) (field_num e "service_us");
+          conserve ~rid ~what:"alloc" ~total:"alloc_b" ~unit:"B" ~floor:4096.0
+            (alloc_fields e) (field_num e "alloc_b")
         end
       | (Recycle | Drain | Breach | Heap_breach | Dump | Flush), _ -> ())
     events;

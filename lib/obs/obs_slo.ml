@@ -29,9 +29,7 @@ type bucket = {
   mutable b_min : float;
   mutable b_max : float;
   b_hist : int array;
-  b_phase : (string, float ref) Hashtbl.t; (* per-phase self-time, us *)
-  b_alloc : (string, float ref) Hashtbl.t; (* per-phase allocation, bytes *)
-  mutable b_alloc_b : float; (* total request allocation, bytes *)
+  b_phases : (string, Obs_attr.cost) Hashtbl.t; (* per-phase us and bytes *)
 }
 
 type t = {
@@ -59,9 +57,7 @@ let create ?(window_s = 60.0) ?(buckets = 12) () =
             b_min = infinity;
             b_max = neg_infinity;
             b_hist = Array.make hist_buckets 0;
-            b_phase = Hashtbl.create 8;
-            b_alloc = Hashtbl.create 8;
-            b_alloc_b = 0.0;
+            b_phases = Hashtbl.create 8;
           });
   }
 
@@ -74,9 +70,7 @@ let reset_bucket b epoch =
   b.b_min <- infinity;
   b.b_max <- neg_infinity;
   Array.fill b.b_hist 0 hist_buckets 0;
-  Hashtbl.reset b.b_phase;
-  Hashtbl.reset b.b_alloc;
-  b.b_alloc_b <- 0.0
+  Hashtbl.reset b.b_phases
 
 let slot_for t ~now =
   let epoch = int_of_float (now /. t.bucket_s) in
@@ -84,35 +78,27 @@ let slot_for t ~now =
   if b.b_epoch <> epoch then reset_bucket b epoch;
   b
 
-(** Record one request outcome.  [latency_us] is given for requests that
-    ran (the same value the [serve.latency_us] telemetry histogram
-    observes); sheds have no service latency.  [phases] is the request's
-    per-phase attribution [(phase, microseconds)] and [allocs] its
-    allocation twin [(phase, bytes)], [alloc_b] the request's total
-    allocated bytes — all aggregated per bucket so the window can say
-    where its time {e and} its memory went. *)
-let observe t ~now ?latency_us ?(phases = []) ?(allocs = []) ?(alloc_b = 0.0)
-    ~shed ~internal () =
+let add_cost tbl name (c : Obs_attr.cost) =
+  match Hashtbl.find_opt tbl name with
+  | Some (p : Obs_attr.cost) ->
+    Hashtbl.replace tbl name { Obs_attr.us = p.us +. c.us; bytes = p.bytes +. c.bytes }
+  | None -> Hashtbl.add tbl name c
+
+(** Record one request outcome.  [ledger] is given for requests that
+    ran: its [service_us] is the latency sample (the same value the
+    [serve.latency_us] telemetry histogram observes), its phases are
+    aggregated per bucket so the window can say where its time {e and}
+    its memory went.  Sheds have no ledger. *)
+let observe t ~now ?ledger ~shed ~internal () =
   let b = slot_for t ~now in
   b.b_requests <- b.b_requests + 1;
   if shed then b.b_shed <- b.b_shed + 1;
   if internal then b.b_internal <- b.b_internal + 1;
-  List.iter
-    (fun (name, us) ->
-      match Hashtbl.find_opt b.b_phase name with
-      | Some r -> r := !r +. us
-      | None -> Hashtbl.add b.b_phase name (ref us))
-    phases;
-  List.iter
-    (fun (name, bytes) ->
-      match Hashtbl.find_opt b.b_alloc name with
-      | Some r -> r := !r +. bytes
-      | None -> Hashtbl.add b.b_alloc name (ref bytes))
-    allocs;
-  b.b_alloc_b <- b.b_alloc_b +. alloc_b;
-  match latency_us with
+  match ledger with
   | None -> ()
-  | Some x ->
+  | Some (l : Obs_attr.ledger) ->
+    List.iter (fun (name, c) -> add_cost b.b_phases name c) l.phases;
+    let x = l.service_us in
     b.b_observed <- b.b_observed + 1;
     if x < b.b_min then b.b_min <- x;
     if x > b.b_max then b.b_max <- x;
@@ -145,9 +131,7 @@ let summary t ~now : summary =
   let requests = ref 0 and observed = ref 0 and shed = ref 0 and internal = ref 0 in
   let min_v = ref infinity and max_v = ref neg_infinity in
   let hist = Array.make hist_buckets 0 in
-  let phase = Hashtbl.create 8 in
-  let alloc = Hashtbl.create 8 in
-  let alloc_b = ref 0.0 in
+  let phases = Hashtbl.create 8 in
   Array.iter
     (fun b ->
       if b.b_epoch >= 0 && now_epoch - b.b_epoch < n then begin
@@ -158,21 +142,13 @@ let summary t ~now : summary =
         if b.b_min < !min_v then min_v := b.b_min;
         if b.b_max > !max_v then max_v := b.b_max;
         Array.iteri (fun i k -> hist.(i) <- hist.(i) + k) b.b_hist;
-        Hashtbl.iter
-          (fun name r ->
-            Hashtbl.replace phase name
-              (!r +. Option.value (Hashtbl.find_opt phase name) ~default:0.0))
-          b.b_phase;
-        Hashtbl.iter
-          (fun name r ->
-            Hashtbl.replace alloc name
-              (!r +. Option.value (Hashtbl.find_opt alloc name) ~default:0.0))
-          b.b_alloc;
-        alloc_b := !alloc_b +. b.b_alloc_b
+        Hashtbl.iter (add_cost phases) b.b_phases
       end)
     t.buckets;
   let pct k = if !requests = 0 then 0.0 else 100.0 *. float_of_int k /. float_of_int !requests in
   let pc p = Tm.bucket_percentile hist ~count:!observed ~min_v:!min_v ~max_v:!max_v p in
+  let phases = List.of_seq (Hashtbl.to_seq phases) in
+  let largest_first = List.sort (fun (_, a) (_, b) -> compare b a) in
   {
     s_window_s = window_s t;
     s_requests = !requests;
@@ -184,15 +160,9 @@ let summary t ~now : summary =
     s_p99_us = pc 0.99;
     s_shed_pct = pct !shed;
     s_internal_pct = pct !internal;
-    s_phase_us =
-      List.sort
-        (fun (_, a) (_, b) -> compare b a)
-        (Hashtbl.fold (fun name us acc -> (name, us) :: acc) phase []);
-    s_alloc_b = !alloc_b;
-    s_alloc_phase_b =
-      List.sort
-        (fun (_, a) (_, b) -> compare b a)
-        (Hashtbl.fold (fun name bts acc -> (name, bts) :: acc) alloc []);
+    s_phase_us = largest_first (Obs_attr.phase_us phases);
+    s_alloc_b = List.fold_left (fun a (_, (c : Obs_attr.cost)) -> a +. c.bytes) 0.0 phases;
+    s_alloc_phase_b = largest_first (Obs_attr.phase_b phases);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -226,6 +196,22 @@ let breaches (o : objectives) (s : summary) : breach list =
         [ { br_metric = "shed_pct"; br_value = s.s_shed_pct; br_objective = limit } ]
       | _ -> []);
     ]
+
+(** The adaptive slow-request threshold: above it, a finished request
+    earns an exemplar dump.  With a p99 objective configured the
+    operator has already said what "slow" means — the objective itself.
+    Without one, slow is [k]× the window's p50, once the window holds
+    at least [min_observed] measured requests (an empty or near-empty
+    window has no defensible p50; no threshold, no exemplars, rather
+    than dumping on the first warm-up request). *)
+let exemplar_threshold_us ~(objectives : objectives) ~(summary : summary) ~k
+    ~min_observed : float option =
+  match objectives.o_p99_ms with
+  | Some p99_ms -> Some (p99_ms *. 1000.0)
+  | None ->
+    if summary.s_observed >= min_observed && summary.s_p50_us > 0.0 then
+      Some (k *. summary.s_p50_us)
+    else None
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)

@@ -16,20 +16,16 @@ val window_s : t -> float
 val observe :
   t ->
   now:float ->
-  ?latency_us:float ->
-  ?phases:(string * float) list ->
-  ?allocs:(string * float) list ->
-  ?alloc_b:float ->
+  ?ledger:Obs_attr.ledger ->
   shed:bool ->
   internal:bool ->
   unit ->
   unit
-(** Record one request outcome into the bucket holding [now].
-    [latency_us] is supplied for requests that ran (the same value the
-    [serve.latency_us] histogram observes); sheds have none.  [phases]
-    is the request's per-phase attribution [(phase, microseconds)],
-    [allocs] its allocation twin [(phase, bytes)], and [alloc_b] the
-    request's total allocated bytes — all aggregated per bucket. *)
+(** Record one request outcome into the bucket holding [now].  [ledger]
+    is supplied for requests that ran: its [service_us] is the latency
+    sample (the same value the [serve.latency_us] histogram observes)
+    and its per-phase costs are aggregated per bucket.  Sheds have
+    none. *)
 
 type summary = {
   s_window_s : float;
@@ -65,6 +61,17 @@ type breach = {
 
 val breaches : objectives -> summary -> breach list
 (** Objectives violated by a summary; an empty window breaches nothing. *)
+
+val exemplar_threshold_us :
+  objectives:objectives ->
+  summary:summary ->
+  k:float ->
+  min_observed:int ->
+  float option
+(** Latency above which a finished request earns an exemplar dump: the
+    p99 objective when one is configured, else [k] × the window p50
+    once the window holds [min_observed] measured requests ([None]
+    before that — no defensible baseline, no dumping). *)
 
 val pp_summary : Format.formatter -> summary -> unit
 val summary_json : summary -> string

@@ -194,16 +194,15 @@ let emit_start t conn ~verb ?queue_wait_us ?reason () =
     response header, deliver, count and log the fate, feed the SLO
     window.  Admission rejections become [shed] events; everything else
     becomes the [finish] that pairs with the request's [start], stamped
-    with its per-phase attribution ([ph_*] fields, microseconds).
+    with its [ledger] when it ran: [service_us], the per-phase
+    attribution ([ph_*] microseconds, [al_*] bytes) and the allocation
+    totals.
 
     [observe_latency:false] keeps daemon-verb answers (stats, slo,
-    bad-request) out of the SLO window's latency sample — the window
-    summarizes compile service time, not bookkeeping — while their
-    finish events still carry [service_us] and phases so the log-level
-    phase-sum invariant holds for every finish. *)
-let finish ?service_us ?(phases = []) ?(allocs = []) ?alloc_b
-    ?(alloc_minor_b = 0.0) ?(alloc_major_b = 0.0) ?(observe_latency = true) t
-    conn resp =
+    bad-request) out of the SLO window — the window summarizes compile
+    service, not bookkeeping — while their finish events still carry
+    the ledger so the log-level sum invariants hold for every finish. *)
+let finish ?ledger ?(observe_latency = true) t conn resp =
   Tm.incr m_requests;
   let resp = { resp with Serve_protocol.rs_request_id = Some conn.rid } in
   let fate = send_response conn resp in
@@ -215,11 +214,7 @@ let finish ?service_us ?(phases = []) ?(allocs = []) ?alloc_b
     | _ -> false
   in
   Obs_slo.observe t.slo ~now:(now ())
-    ?latency_us:(if observe_latency then service_us else None)
-    ~phases:(if observe_latency then phases else [])
-    ~allocs:(if observe_latency then allocs else [])
-    ~alloc_b:
-      (if observe_latency then Option.value alloc_b ~default:0.0 else 0.0)
+    ?ledger:(if observe_latency then ledger else None)
     ~shed
     ~internal:(status = Serve_protocol.Internal) ();
   let base =
@@ -244,21 +239,7 @@ let finish ?service_us ?(phases = []) ?(allocs = []) ?alloc_b
         (List.concat
            [
              base;
-             (match service_us with
-             | Some x -> [ ("service_us", Obs_event.F x) ]
-             | None -> []);
-             Obs_attr.fields phases;
-             (* the allocation attribution: al_* per phase plus the
-                totals the check_log invariant ties them to *)
-             (match alloc_b with
-             | Some total ->
-               Obs_attr.fields_alloc allocs
-               @ [
-                   ("alloc_b", Obs_event.F total);
-                   ("alloc_minor_b", Obs_event.F alloc_minor_b);
-                   ("alloc_major_b", Obs_event.F alloc_major_b);
-                 ]
-             | None -> []);
+             (match ledger with Some l -> Obs_attr.fields l | None -> []);
              (if resp.Serve_protocol.rs_wedged then [ ("wedged", Obs_event.I 1) ]
               else []);
            ])
@@ -269,11 +250,10 @@ let finish ?service_us ?(phases = []) ?(allocs = []) ?alloc_b
     bad frames): the whole service time is daemon bookkeeping, so the
     attribution is all ["other"], and the SLO window is not fed. *)
 let finish_inline ~t0 t conn resp =
-  let svc = (now () -. t0) *. 1e6 in
-  finish ~service_us:svc
-    ~phases:[ ("other", svc) ]
-    ~allocs:[ ("other", 0.0) ]
-    ~alloc_b:0.0 ~observe_latency:false t conn resp
+  let service_us = (now () -. t0) *. 1e6 in
+  finish
+    ~ledger:(Obs_attr.with_other ~service_us Obs_attr.empty)
+    ~observe_latency:false t conn resp
 
 (* ------------------------------------------------------------------ *)
 (* Flight dumps *)
@@ -644,38 +624,25 @@ let process_one t =
       flight_dump t ~reason:"firewall" ~rid:conn.rid ();
     let status = Serve_protocol.status_name resp.Serve_protocol.rs_status in
     t.last_request <- Some (conn.rid, verb, status, elapsed);
-    let service_us = elapsed *. 1e6 in
-    let phases =
-      Obs_attr.with_other ~service_us
-        (List.map
-           (fun (name, s) -> (name, s *. 1e6))
-           (Serve_worker.last_phases t.worker))
+    let ledger =
+      Obs_attr.with_other ~service_us:(elapsed *. 1e6) (Serve_worker.last t.worker)
     in
+    let service_us = ledger.Obs_attr.service_us in
     (* the slow bar is set by the window as it was BEFORE this request
        is observed — a request cannot raise its own threshold *)
     let threshold_us =
       if t.cfg.d_span_cap > 0 then
-        Obs_attr.exemplar_threshold_us ~objectives:t.cfg.d_slo
+        Obs_slo.exemplar_threshold_us ~objectives:t.cfg.d_slo
           ~summary:(Obs_slo.summary t.slo ~now:(now ()))
           ~k:t.cfg.d_exemplar_k ~min_observed:t.cfg.d_exemplar_min_obs
       else None
     in
-    let bpw = float_of_int Tm.bytes_per_word in
-    let alloc_b = Serve_worker.last_alloc_w t.worker *. bpw in
-    let allocs =
-      Obs_attr.with_other_alloc ~alloc_b
-        (List.map
-           (fun (name, w) -> (name, w *. bpw))
-           (Serve_worker.last_allocs t.worker))
-    in
     let rid = conn.rid in
-    finish ~service_us ~phases ~allocs ~alloc_b
-      ~alloc_minor_b:(Serve_worker.last_alloc_minor_w t.worker *. bpw)
-      ~alloc_major_b:(Serve_worker.last_alloc_major_w t.worker *. bpw)
-      t conn resp;
+    finish ~ledger t conn resp;
     (match threshold_us with
     | Some th when service_us > th ->
-      exemplar_dump t ~rid ~verb ~status ~service_us ~threshold_us:th ~phases
+      exemplar_dump t ~rid ~verb ~status ~service_us ~threshold_us:th
+        ~phases:(Obs_attr.phase_us ledger.Obs_attr.phases)
         ~spans:req_spans ~spans_dropped
     | Some _ | None -> ());
     true

@@ -61,12 +61,9 @@ type t = {
   mutable compiler : Vhdl_compiler.t;
   mutable served : int; (* requests handled by this worker *)
   mutable generation : int; (* bumped by every recycle *)
-  mutable last_phases : (string * float) list;
-      (* per-phase self-time (seconds) of the last handled request *)
-  mutable last_allocs : (string * float) list;
-      (* per-phase self-allocated words of the last handled request *)
-  mutable last_alloc_minor_w : float; (* minor words of the last request *)
-  mutable last_alloc_major_w : float; (* direct-major words (promotions excluded) *)
+  mutable last : Obs_attr.ledger;
+      (* what the last handled request cost, phase by phase, before the
+         daemon's service time settles its "other" residual *)
   mutable hog : Bytes.t list;
       (* fault injection: blocks retained by hog_kb= requests — the planted
          leak the heap-health watchdog must catch *)
@@ -85,22 +82,13 @@ let create cfg =
     compiler = fresh_compiler cfg;
     served = 0;
     generation = 0;
-    last_phases = [];
-    last_allocs = [];
-    last_alloc_minor_w = 0.0;
-    last_alloc_major_w = 0.0;
+    last = Obs_attr.empty;
     hog = [];
   }
 
 let generation t = t.generation
 let served t = t.served
-let last_phases t = t.last_phases
-let last_allocs t = t.last_allocs
-let last_alloc_minor_w t = t.last_alloc_minor_w
-let last_alloc_major_w t = t.last_alloc_major_w
-
-(** Total words the last request allocated (minor + direct-major). *)
-let last_alloc_w t = t.last_alloc_minor_w +. t.last_alloc_major_w
+let last t = t.last
 
 (** Replace the warm compiler — after a wedge or an unclassified escape
     (the interrupted state may be inconsistent), and periodically to bound
@@ -284,28 +272,34 @@ let run_verb t (rq : Serve_protocol.request) : Serve_protocol.response =
     Serve_protocol.response Serve_protocol.Bad_request
       ~body:"verb handled by the daemon\n"
 
-(** Handle one admitted request.  Total: always returns a response, never
-    raises (fatal conditions like [Out_of_memory] excepted). *)
-(* this request's phase self-times: the compiler's (cumulative) phase
-   timer diffed around the request.  The timer OBJECT is captured before
-   the work so a mid-request recycle — which swaps in a fresh compiler
-   and fresh timer — still diffs against the timer the request actually
-   charged. *)
+(* this request's phase self-costs, in microseconds and bytes: the
+   compiler's (cumulative) phase timer diffed around the request.  The
+   timer OBJECT is captured before the work so a mid-request recycle —
+   which swaps in a fresh compiler and fresh timer — still diffs against
+   the timer the request actually charged. *)
 let phase_delta ~before ~after =
+  let bpw = float_of_int Tm.bytes_per_word in
   List.filter_map
-    (fun (name, total) ->
-      let prior =
-        Option.value (List.assoc_opt name before) ~default:0.0
+    (fun (name, (c : Vhdl_util.Phase_timer.cost)) ->
+      let p =
+        Option.value (List.assoc_opt name before)
+          ~default:{ Vhdl_util.Phase_timer.seconds = 0.0; words = 0.0 }
       in
-      let d = total -. prior in
-      if d > 0.0 then Some (name, d) else None)
+      let d =
+        {
+          Obs_attr.us = Float.max 0.0 (c.seconds -. p.seconds) *. 1e6;
+          bytes = Float.max 0.0 (c.words -. p.words) *. bpw;
+        }
+      in
+      if d.us > 0.0 || d.bytes > 0.0 then Some (name, d) else None)
     after
 
+(** Handle one admitted request.  Total: always returns a response, never
+    raises (fatal conditions like [Out_of_memory] excepted). *)
 let handle t (rq : Serve_protocol.request) : Serve_protocol.response =
   t.served <- t.served + 1;
   let timer0 = Vhdl_compiler.timer t.compiler in
   let phases_before = Vhdl_util.Phase_timer.report timer0 in
-  let allocs_before = Vhdl_util.Phase_timer.report_alloc timer0 in
   (* exact minor count from the external — [Gc.counters]' own word
      fields are flushed only at collection boundaries on OCaml 5.1 *)
   let mi0 = Gc.minor_words () in
@@ -357,16 +351,18 @@ let handle t (rq : Serve_protocol.request) : Serve_protocol.response =
             (Printf.sprintf "diag [internal:serve] request firewall: %s; worker recycled\n"
                (Printexc.to_string exn))
   in
-  t.last_phases <-
-    phase_delta ~before:phases_before
-      ~after:(Vhdl_util.Phase_timer.report timer0);
-  t.last_allocs <-
-    phase_delta ~before:allocs_before
-      ~after:(Vhdl_util.Phase_timer.report_alloc timer0);
-  let mi1 = Gc.minor_words () in
-  let dm1 = Tm.direct_major_words_now () in
-  t.last_alloc_minor_w <- Float.max 0.0 (mi1 -. mi0);
-  t.last_alloc_major_w <- Float.max 0.0 (dm1 -. dm0);
+  let minor_w = Float.max 0.0 (Gc.minor_words () -. mi0) in
+  let major_w = Float.max 0.0 (Tm.direct_major_words_now () -. dm0) in
+  let bpw = float_of_int Tm.bytes_per_word in
+  t.last <-
+    {
+      Obs_attr.service_us = 0.0;
+      alloc_b = (minor_w +. major_w) *. bpw;
+      alloc_minor_b = minor_w *. bpw;
+      alloc_major_b = major_w *. bpw;
+      phases =
+        phase_delta ~before:phases_before ~after:(Vhdl_util.Phase_timer.report timer0);
+    };
   (match resp.Serve_protocol.rs_status with
   | Serve_protocol.Internal -> Tm.incr m_faults_contained
   | Serve_protocol.Timeout -> Tm.incr m_timeouts

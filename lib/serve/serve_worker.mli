@@ -30,24 +30,13 @@ val generation : t -> int
 val served : t -> int
 (** Requests handled so far (across recycles). *)
 
-val last_phases : t -> (string * float) list
-(** Per-phase self-time (compiler phase name, seconds) charged by the
-    last {!handle} — the compiler's phase timer diffed around the
-    request, robust to mid-request recycles. *)
-
-val last_allocs : t -> (string * float) list
-(** Per-phase self-allocated words charged by the last {!handle} — the
-    phase timer's allocation table diffed around the request, same
-    discipline as {!last_phases}. *)
-
-val last_alloc_minor_w : t -> float
-(** Minor-heap words the last {!handle} allocated. *)
-
-val last_alloc_major_w : t -> float
-(** Direct major-heap words (promotions excluded) of the last {!handle}. *)
-
-val last_alloc_w : t -> float
-(** Total words of the last {!handle}: minor + direct-major. *)
+val last : t -> Obs_attr.ledger
+(** What the last {!handle} cost: per-phase self time (µs) and
+    self-allocation (bytes) — the compiler's phase timer diffed around
+    the request, robust to mid-request recycles — and the minor and
+    direct-major bytes it allocated.  [service_us] is 0 and there is no
+    ["other"] phase until {!Obs_attr.with_other} settles it against the
+    latency the daemon measured. *)
 
 val recycle : t -> unit
 (** Replace the warm compiler with a fresh one. *)

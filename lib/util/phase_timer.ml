@@ -23,29 +23,22 @@
 
 module Telemetry = Vhdl_telemetry.Telemetry
 
+type cost = { seconds : float; words : float }
+
 type t = {
-  mutable phases : (string * unit) list; (* reverse order of first use *)
-  table : (string, float ref) Hashtbl.t; (* self-time seconds *)
-  alloc : (string, float ref) Hashtbl.t; (* self-allocated words *)
+  mutable phases : string list; (* reverse order of first use *)
+  table : (string, cost ref) Hashtbl.t; (* self-time and self-allocation *)
 }
 
-let create () = { phases = []; table = Hashtbl.create 16; alloc = Hashtbl.create 16 }
+let create () = { phases = []; table = Hashtbl.create 16 }
 
 let cell t name =
   match Hashtbl.find_opt t.table name with
   | Some r -> r
   | None ->
-    let r = ref 0.0 in
+    let r = ref { seconds = 0.0; words = 0.0 } in
     Hashtbl.add t.table name r;
-    t.phases <- (name, ()) :: t.phases;
-    r
-
-let alloc_cell t name =
-  match Hashtbl.find_opt t.alloc name with
-  | Some r -> r
-  | None ->
-    let r = ref 0.0 in
-    Hashtbl.add t.alloc name r;
+    t.phases <- name :: t.phases;
     r
 
 (* ------------------------------------------------------------------ *)
@@ -99,9 +92,11 @@ let run_frame timer name f =
       (match frame.f_timer with
       | Some t ->
         let r = cell t frame.f_name in
-        r := !r +. (total -. frame.f_child);
-        let a = alloc_cell t frame.f_name in
-        a := !a +. self_aw
+        r :=
+          {
+            seconds = !r.seconds +. (total -. frame.f_child);
+            words = !r.words +. self_aw;
+          }
       | None -> ());
       Telemetry.add
         (Telemetry.counter (metric_name frame.f_name))
@@ -130,20 +125,15 @@ let time_ambient name f =
   | Some _ as timer -> run_frame timer name f
   | None -> if Telemetry.tracing () then run_frame None name f else f ()
 
-let total t = Hashtbl.fold (fun _ r acc -> acc +. !r) t.table 0.0
-let total_alloc t = Hashtbl.fold (fun _ r acc -> acc +. !r) t.alloc 0.0
+let total t =
+  Hashtbl.fold
+    (fun _ r acc ->
+      { seconds = acc.seconds +. !r.seconds; words = acc.words +. !r.words })
+    t.table
+    { seconds = 0.0; words = 0.0 }
 
-(** Phases in order of first use, with accumulated self-time seconds. *)
-let report t =
-  List.rev_map (fun (name, ()) -> (name, !(Hashtbl.find t.table name))) t.phases
-
-(** Phases in order of first use, with accumulated self-allocated words. *)
-let report_alloc t =
-  List.rev_map
-    (fun (name, ()) ->
-      ( name,
-        match Hashtbl.find_opt t.alloc name with Some r -> !r | None -> 0.0 ))
-    t.phases
+(** Phases in order of first use, with accumulated self cost. *)
+let report t = List.rev_map (fun name -> (name, !(Hashtbl.find t.table name))) t.phases
 
 let pp_bytes fmt b =
   if b >= 1048576.0 then Format.fprintf fmt "%8.1fMB" (b /. 1048576.0)
@@ -152,18 +142,13 @@ let pp_bytes fmt b =
 
 let pp fmt t =
   let tot = total t in
-  let tot = if tot <= 0.0 then 1.0 else tot in
-  let aw = report_alloc t in
-  let bytes name =
-    Option.value (List.assoc_opt name aw) ~default:0.0
-    *. float_of_int Telemetry.bytes_per_word
-  in
+  let secs = if tot.seconds <= 0.0 then 1.0 else tot.seconds in
+  let bytes c = c.words *. float_of_int Telemetry.bytes_per_word in
   Format.fprintf fmt "@[<v>";
   List.iter
-    (fun (name, secs) ->
-      Format.fprintf fmt "%-28s %8.4fs  (%5.1f%%)  alloc %a@," name secs
-        (100.0 *. secs /. tot) pp_bytes (bytes name))
+    (fun (name, c) ->
+      Format.fprintf fmt "%-28s %8.4fs  (%5.1f%%)  alloc %a@," name c.seconds
+        (100.0 *. c.seconds /. secs) pp_bytes (bytes c))
     (report t);
-  Format.fprintf fmt "%-28s %8.4fs            alloc %a@]" "total" (total t)
-    pp_bytes
-    (total_alloc t *. float_of_int Telemetry.bytes_per_word)
+  Format.fprintf fmt "%-28s %8.4fs            alloc %a@]" "total" tot.seconds
+    pp_bytes (bytes tot)

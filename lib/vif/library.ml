@@ -23,11 +23,6 @@ type t = {
   loaded_files : (string, unit) Hashtbl.t; (* VIF files already parsed *)
   mutable references : (string * t) list; (* read-only reference libraries *)
   writable : bool;
-  (* instrumentation for the PERF-PHASE experiment *)
-  mutable read_seconds : float;
-  mutable write_seconds : float;
-  mutable reads : int;
-  mutable writes : int;
   mutable sequence : int; (* compilation order stamp *)
 }
 
@@ -48,10 +43,6 @@ let create ?dir ~name () =
       loaded_files = Hashtbl.create 64;
       references = [];
       writable = true;
-      read_seconds = 0.0;
-      write_seconds = 0.0;
-      reads = 0;
-      writes = 0;
       sequence = 0;
     }
   in
@@ -62,14 +53,6 @@ let create ?dir ~name () =
 
 (** Attach a read-only reference library under logical name [as_name]. *)
 let add_reference t ~as_name ref_lib = t.references <- t.references @ [ (as_name, ref_lib) ]
-
-(* VIF I/O time is charged to its own phase of the ambient compile timer
-   ([phase] is "VIF read" or "VIF write"), which both carves it out of the
-   enclosing phase and records each file transfer as a telemetry span. *)
-let timed phase cell f =
-  Vhdl_util.Phase_timer.time_ambient phase (fun () ->
-      let start = U.now () in
-      Fun.protect ~finally:(fun () -> cell := !cell +. (U.now () -. start)) f)
 
 (** Write [u] into the library (memory and, if disk-backed, its VIF file).
     The sequence stamp records compilation order — the input to the
@@ -82,17 +65,25 @@ let insert t (u : Unit_info.compiled_unit) =
   match t.lib_dir with
   | None -> ()
   | Some dir ->
-    let cell = ref t.write_seconds in
-    timed "VIF write" cell (fun () ->
-        t.writes <- t.writes + 1;
+    Vhdl_util.Phase_timer.time_ambient "VIF write" (fun () ->
         Tm.incr m_writes;
         let file = file_of_key u.Unit_info.u_key in
         Hashtbl.replace t.loaded_files file ();
         let text = Vif_units.to_string u in
         Tm.add m_write_bytes (String.length text);
         Tm.observe m_unit_bytes (float_of_int (String.length text));
-        U.write_file (Filename.concat dir file) text);
-    t.write_seconds <- !cell
+        U.write_file (Filename.concat dir file) text)
+
+(* VIF I/O is charged to its own phase of the ambient compile timer ("VIF
+   read" or "VIF write"), which both carves it out of the enclosing phase
+   and records each file transfer as a telemetry span; the vif.reads /
+   vif.writes counters count the transfers. *)
+let read_vif path =
+  Vhdl_util.Phase_timer.time_ambient "VIF read" (fun () ->
+      Tm.incr m_reads;
+      let text = U.read_file path in
+      Tm.add m_read_bytes (String.length text);
+      Vif_units.of_string text)
 
 let rec resolve_library t name =
   if String.equal name t.lib_name || String.equal name "WORK" then Some t
@@ -122,16 +113,7 @@ let rec find t ~library ~key : Unit_info.compiled_unit option =
         let path = Filename.concat dir file in
         if not (Sys.file_exists path) then None
         else begin
-          let cell = ref lib.read_seconds in
-          let u =
-            timed "VIF read" cell (fun () ->
-                lib.reads <- lib.reads + 1;
-                Tm.incr m_reads;
-                let text = U.read_file path in
-                Tm.add m_read_bytes (String.length text);
-                Vif_units.of_string text)
-          in
-          lib.read_seconds <- !cell;
+          let u = read_vif path in
           Hashtbl.replace lib.loaded_files file ();
           Hashtbl.replace lib.units key u;
           (* fix up nested foreign references *)
@@ -154,16 +136,7 @@ let all t : Unit_info.compiled_unit list =
             if Filename.check_suffix f ".vif" && not (Hashtbl.mem lib.loaded_files f)
             then begin
               let path = Filename.concat dir f in
-              let cell = ref lib.read_seconds in
-              let u =
-                timed "VIF read" cell (fun () ->
-                    lib.reads <- lib.reads + 1;
-                    Tm.incr m_reads;
-                    let text = U.read_file path in
-                    Tm.add m_read_bytes (String.length text);
-                    Vif_units.of_string text)
-              in
-              lib.read_seconds <- !cell;
+              let u = read_vif path in
               Hashtbl.replace lib.loaded_files f ();
               if not (Hashtbl.mem lib.units u.Unit_info.u_key) then
                 Hashtbl.replace lib.units u.Unit_info.u_key u
@@ -188,21 +161,6 @@ let dump t ~library ~key =
   | Some u -> Some (Vif_units.to_string_indented u)
   | None -> None
 
-type io_stats = {
-  io_reads : int;
-  io_writes : int;
-  io_read_seconds : float;
-  io_write_seconds : float;
-}
-
-let io_stats t =
-  {
-    io_reads = t.reads;
-    io_writes = t.writes;
-    io_read_seconds = t.read_seconds;
-    io_write_seconds = t.write_seconds;
-  }
-
 (** Drop the in-memory unit cache (disk files stay), forcing subsequent
     [find]s to re-read VIF — each compiler invocation in the original system
     re-read its foreign references from the library. *)
@@ -214,9 +172,3 @@ let clear_cache t =
       Hashtbl.reset lib.units;
       Hashtbl.reset lib.loaded_files)
     t.references
-
-let reset_io_stats t =
-  t.reads <- 0;
-  t.writes <- 0;
-  t.read_seconds <- 0.0;
-  t.write_seconds <- 0.0

@@ -36,16 +36,6 @@ val all : t -> Unit_info.compiled_unit list
 val dump : t -> library:string -> key:string -> string option
 (** The paper's human-readable VIF form, for debugging and documentation. *)
 
-type io_stats = {
-  io_reads : int;
-  io_writes : int;
-  io_read_seconds : float;
-  io_write_seconds : float;
-}
-
-val io_stats : t -> io_stats
-val reset_io_stats : t -> unit
-
 val clear_cache : t -> unit
 (** Drop the in-memory unit cache (disk files stay): subsequent [find]s
     re-read VIF, as each compiler invocation did in the original system. *)

@@ -468,14 +468,7 @@ let test_plan_principal () =
           Evaluator.create
             ~token_line:(fun n -> Pval.Int n)
             g
-            ~root_inherited:
-              [
-                ("ENV", Pval.Env Env.empty); ("LEVEL", Pval.Int (-1));
-                ("UNITNAME", Pval.Str "WORK.X"); ("CTX", Pval.Str "arch");
-                ("SLOTBASE", Pval.Int 0); ("SIGBASE", Pval.Int 0);
-                ("LOOPDEPTH", Pval.Int 0); ("RETTY", Pval.Opt None);
-                ("CTXOUT", Pval.Out Pval.out_empty); ("NLINES", Pval.Int 7);
-              ]
+            ~root_inherited:(Main_grammar.root_inherited ~unit_name:"WORK.X" ~lines:7)
             tree
         in
         forcing g ev;

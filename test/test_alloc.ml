@@ -117,10 +117,12 @@ let test_phase_alloc_sums_to_gc_delta () =
       Phase_timer.time t "cascade" (fun () -> churn_words 500_000));
   let delta = Telemetry.allocated_words_now () -. a0 in
   let table_sum =
-    List.fold_left (fun a (_, w) -> a +. w) 0.0 (Phase_timer.report_alloc t)
+    List.fold_left
+      (fun a (_, (c : Phase_timer.cost)) -> a +. c.words)
+      0.0 (Phase_timer.report t)
   in
-  Alcotest.(check (float 1e-6)) "report_alloc sums to total_alloc"
-    (Phase_timer.total_alloc t) table_sum;
+  Alcotest.(check (float 1e-6)) "report words sum to total words"
+    (Phase_timer.total t).words table_sum;
   let tolerance = Float.max (0.05 *. delta) 2048.0 in
   if Float.abs (table_sum -. delta) > tolerance then
     Alcotest.failf "phase alloc table %.0fw disagrees with GC delta %.0fw"

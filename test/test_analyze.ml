@@ -75,8 +75,13 @@ let request ~ts ~rid ?(verb = "compile") ?(status = "ok") ~service_us phases =
       e_rid = Some rid;
       e_fields =
         ("status", E.S status)
-        :: ("service_us", E.F service_us)
-        :: Obs_attr.fields phases;
+        :: Obs_attr.fields
+             {
+               Obs_attr.empty with
+               service_us;
+               phases =
+                 List.map (fun (name, us) -> (name, { Obs_attr.us; bytes = 0.0 })) phases;
+             };
     };
   ]
 
@@ -121,7 +126,7 @@ let test_analyze_report () =
     (fun (e : E.t) ->
       if e.E.e_kind = E.Finish then
         Obs_slo.observe slo ~now:e.E.e_ts
-          ?latency_us:(E.field_num e "service_us")
+          ?ledger:(Obs_attr.of_event e)
           ~shed:false ~internal:false ())
     events;
   let live = Obs_slo.summary slo ~now:10.2 in

@@ -184,9 +184,19 @@ let test_flight_dump_writes_file () =
     Sys.remove path);
   (try Unix.rmdir dir with Unix.Unix_error _ -> ())
 
+(* a ledger carrying time only: [phases] in microseconds *)
+let timed ~service_us phases =
+  {
+    Obs_attr.empty with
+    service_us;
+    phases = List.map (fun (name, us) -> (name, { Obs_attr.us; bytes = 0.0 })) phases;
+  }
+
 let observe_each slo ~now latencies =
   List.iter
-    (fun l -> Obs_slo.observe slo ~now ~latency_us:l ~shed:false ~internal:false ())
+    (fun l ->
+      Obs_slo.observe slo ~now ~ledger:(timed ~service_us:l []) ~shed:false
+        ~internal:false ())
     latencies
 
 (* ------------------------------------------------------------------ *)
@@ -196,9 +206,7 @@ let observe_each slo ~now latencies =
 let finish_with ~rid ~service_us phases =
   E.make ~rid
     ~fields:
-      (( "status", E.S "ok" )
-      :: ("service_us", E.F service_us)
-      :: Obs_attr.fields phases)
+      (("status", E.S "ok") :: Obs_attr.fields (timed ~service_us phases))
     E.Finish
 
 let lifecycle ~rid finish =
@@ -231,10 +239,23 @@ let test_check_log_phase_sum () =
   Alcotest.(check (list string)) "tiny service tolerated" [] (E.check_log tiny)
 
 let test_with_other_accounts_service () =
-  let phases =
+  let cost us bytes = { Obs_attr.us; bytes } in
+  let l =
     Obs_attr.with_other ~service_us:1000.0
-      [ ("parser", 200.0); ("attribute evaluation", 300.0); ("VIF write", 0.0) ]
+      {
+        Obs_attr.empty with
+        alloc_b = 900.0;
+        phases =
+          [
+            ("parser", cost 200.0 100.0);
+            ("attribute evaluation", cost 300.0 500.0);
+            ("VIF write", cost 0.0 0.0);
+          ];
+      }
   in
+  let phases = Obs_attr.phase_us l.Obs_attr.phases in
+  Alcotest.(check (option (float 1e-6))) "allocation residual is other" (Some 300.0)
+    (List.assoc_opt "other" (Obs_attr.phase_b l.Obs_attr.phases));
   let sum = List.fold_left (fun a (_, v) -> a +. v) 0.0 phases in
   Alcotest.(check (float 1e-6)) "phases sum to the service time" 1000.0 sum;
   Alcotest.(check (option (float 1e-6))) "residual is other" (Some 500.0)
@@ -254,17 +275,17 @@ let test_exemplar_threshold_semantics () =
   in
   let thin = summary 4 in
   Alcotest.(check (option (float 1e-6))) "too few samples, no objective: off" None
-    (Obs_attr.exemplar_threshold_us ~objectives:Obs_slo.no_objectives
+    (Obs_slo.exemplar_threshold_us ~objectives:Obs_slo.no_objectives
        ~summary:thin ~k:4.0 ~min_observed:8);
   (* but an explicit objective arms it immediately *)
   Alcotest.(check (option (float 1e-6))) "objective p99 wins" (Some 50_000.0)
-    (Obs_attr.exemplar_threshold_us
+    (Obs_slo.exemplar_threshold_us
        ~objectives:{ Obs_slo.o_p99_ms = Some 50.0; o_shed_pct = None }
        ~summary:thin ~k:4.0 ~min_observed:8);
   let warm = summary 8 in
   Alcotest.(check bool) "window warm" true (warm.Obs_slo.s_observed >= 8);
   (match
-     Obs_attr.exemplar_threshold_us ~objectives:Obs_slo.no_objectives
+     Obs_slo.exemplar_threshold_us ~objectives:Obs_slo.no_objectives
        ~summary:warm ~k:4.0 ~min_observed:8
    with
   | Some th ->
@@ -274,10 +295,13 @@ let test_exemplar_threshold_semantics () =
 (* the window aggregates per-phase time so a breach can say what drove it *)
 let test_slo_phase_attribution () =
   let slo = Obs_slo.create ~window_s:60.0 () in
-  Obs_slo.observe slo ~now:1.0 ~latency_us:1000.0
-    ~phases:[ ("attrs", 600.0); ("other", 400.0) ] ~shed:false ~internal:false ();
-  Obs_slo.observe slo ~now:1.1 ~latency_us:2000.0
-    ~phases:[ ("attrs", 1400.0); ("cascade", 500.0); ("other", 100.0) ]
+  Obs_slo.observe slo ~now:1.0
+    ~ledger:(timed ~service_us:1000.0 [ ("attrs", 600.0); ("other", 400.0) ])
+    ~shed:false ~internal:false ();
+  Obs_slo.observe slo ~now:1.1
+    ~ledger:
+      (timed ~service_us:2000.0
+         [ ("attrs", 1400.0); ("cascade", 500.0); ("other", 100.0) ])
     ~shed:false ~internal:false ();
   let s = Obs_slo.summary slo ~now:1.5 in
   Alcotest.(check (option (float 1e-6))) "attrs merged" (Some 2000.0)
@@ -409,10 +433,12 @@ let test_slo_window_expires () =
 let test_slo_rates () =
   let slo = Obs_slo.create ~window_s:60.0 () in
   for _ = 1 to 8 do
-    Obs_slo.observe slo ~now:1.0 ~latency_us:50.0 ~shed:false ~internal:false ()
+    Obs_slo.observe slo ~now:1.0 ~ledger:(timed ~service_us:50.0 []) ~shed:false
+      ~internal:false ()
   done;
   Obs_slo.observe slo ~now:1.0 ~shed:true ~internal:false ();
-  Obs_slo.observe slo ~now:1.0 ~latency_us:70.0 ~shed:false ~internal:true ();
+  Obs_slo.observe slo ~now:1.0 ~ledger:(timed ~service_us:70.0 []) ~shed:false
+    ~internal:true ();
   let s = Obs_slo.summary slo ~now:1.5 in
   Alcotest.(check int) "requests" 10 s.Obs_slo.s_requests;
   Alcotest.(check int) "observed latencies" 9 s.Obs_slo.s_observed;

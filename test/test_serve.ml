@@ -279,14 +279,20 @@ let tick_roundtrip socket d rq =
 
 let test_daemon_socket_roundtrip () =
   with_daemon (fun socket d ->
-      let r = tick_roundtrip socket d (P.request P.Compile ~source:"entity d is end d;\n") in
+      let source =
+        "entity d is port (a : in bit; y : out bit); end d;\n\
+         architecture r of d is begin y <= not a after 1 ns; end r;\n"
+      in
+      let r = tick_roundtrip socket d (P.request P.Compile ~source) in
       Alcotest.(check bool) "ok" true (r.P.rs_status = P.Ok_);
       Alcotest.(check bool) "compiled key in body" true
         (Astring_contains.contains r.P.rs_body "entity:D");
       (* the warm library persists across requests: simulate what the
          previous request compiled *)
-      let r2 = tick_roundtrip socket d (P.request P.Ping) in
-      Alcotest.(check bool) "ping ok" true (r2.P.rs_status = P.Ok_))
+      let r2 = tick_roundtrip socket d (P.request P.Simulate ~top:"d" ~max_ns:20) in
+      Alcotest.(check string) "simulate ok" "ok" (P.status_name r2.P.rs_status);
+      Alcotest.(check bool) "simulated line in body" true
+        (Astring_contains.contains r2.P.rs_body "simulated "))
 
 let test_daemon_sheds_when_full () =
   with_daemon ~queue:1 (fun socket d ->

@@ -112,13 +112,15 @@ let test_phase_timer () =
       (* a nested ambient frame charges its own phase, not alpha's *)
       T.time_ambient "gamma" spin);
   T.time t "beta" (fun () -> ());
-  let report = T.report t in
+  let report = List.map (fun (name, (c : T.cost)) -> (name, c.seconds)) (T.report t) in
   Alcotest.(check (list string)) "phases in first-use order" [ "alpha"; "gamma"; "beta" ]
     (List.map fst report);
   Alcotest.(check bool) "self times non-negative" true
     (List.for_all (fun (_, s) -> s >= 0.0) report);
   Alcotest.(check bool) "total is the sum" true
-    (abs_float (T.total t -. List.fold_left (fun a (_, s) -> a +. s) 0.0 report) < 1e-9);
+    (abs_float
+       ((T.total t).seconds -. List.fold_left (fun a (_, s) -> a +. s) 0.0 report)
+    < 1e-9);
   (* outside any time extent, time_ambient is a plain call *)
   Alcotest.(check int) "ambient outside" 7 (T.time_ambient "nowhere" (fun () -> 7));
   Alcotest.(check bool) "no stray phase" true
