@@ -1108,23 +1108,11 @@ let serve_cmd =
       & info [ "queue" ] ~docv:"N"
           ~doc:"Admission-queue capacity; requests beyond it are shed with [overload].")
   in
-  let max_frame =
-    Arg.(
-      value
-      & opt int Serve_protocol.default_max_frame
-      & info [ "max-frame" ] ~docv:"BYTES" ~doc:"Largest accepted request frame payload.")
-  in
   let default_deadline =
     Arg.(
       value & opt float 10.0
       & info [ "deadline" ] ~docv:"SECONDS"
           ~doc:"Default per-request wall-clock deadline (requests may lower it).")
-  in
-  let max_deadline =
-    Arg.(
-      value & opt float 60.0
-      & info [ "max-deadline" ] ~docv:"SECONDS"
-          ~doc:"Upper bound on any request's deadline.")
   in
   let grace =
     Arg.(
@@ -1134,12 +1122,6 @@ let serve_cmd =
             "Watchdog slack past the deadline before a wedged request is \
              broken and the worker recycled.")
   in
-  let idle_timeout =
-    Arg.(
-      value & opt float 2.0
-      & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:"Partial request frames idle this long are rejected as torn.")
-  in
   let allow_faults =
     Arg.(
       value & flag
@@ -1147,12 +1129,6 @@ let serve_cmd =
           ~doc:
             "Honor the poison=/spin_ms= fault-injection request fields \
              (chaos campaigns only).")
-  in
-  let recycle_every =
-    Arg.(
-      value & opt int 256
-      & info [ "recycle-every" ] ~docv:"N"
-          ~doc:"Replace the warm compiler every N requests (0 = never).")
   in
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress the lifecycle log.") in
   let events =
@@ -1172,29 +1148,6 @@ let serve_cmd =
             "Directory for flight-recorder dumps (firewall trips, watchdog \
              fires, SIGUSR1).")
   in
-  let flight_size =
-    Arg.(
-      value & opt int 256
-      & info [ "flight-size" ] ~docv:"N"
-          ~doc:"Events retained in the in-memory flight-recorder ring.")
-  in
-  let metrics_flush_every =
-    Arg.(
-      value & opt int 200
-      & info [ "metrics-flush-every" ] ~docv:"TICKS"
-          ~doc:
-            "Flush telemetry JSON to --metrics-out every N event-loop ticks \
-             (atomic rename; 0 = only at drain).")
-  in
-  let max_dumps =
-    Arg.(
-      value & opt int 32
-      & info [ "max-dumps" ] ~docv:"N"
-          ~doc:
-            "Retention cap on flight/exemplar dump files in --flight-dir: \
-             the oldest are deleted so a flapping firewall cannot fill the \
-             disk (0 = unlimited).")
-  in
   let span_cap =
     Arg.(
       value & opt int 512
@@ -1203,21 +1156,6 @@ let serve_cmd =
             "Per-request telemetry span buffer: each request's spans are \
              recorded (bounded by N) so slow requests can dump an exemplar \
              trace; 0 disables buffering and exemplars.")
-  in
-  let exemplar_k =
-    Arg.(
-      value & opt float 4.0
-      & info [ "exemplar-k" ] ~docv:"K"
-          ~doc:
-            "Adaptive slow-request threshold when no --slo-p99-ms objective \
-             is set: a request slower than K x the window p50 earns an \
-             exemplar dump.")
-  in
-  let slo_window =
-    Arg.(
-      value & opt float 60.0
-      & info [ "slo-window" ] ~docv:"SECONDS"
-          ~doc:"Width of the rolling SLO window (`vhdlc request --slo`).")
   in
   let slo_p99_ms =
     Arg.(
@@ -1242,19 +1180,18 @@ let serve_cmd =
              live-words window grows past PCT percent, emit one heap_breach \
              event and dump the flight recorder (0 = disabled).")
   in
-  let run socket queue max_frame default_deadline max_deadline grace idle_timeout
-      allow_faults recycle_every quiet refs fuel metrics_out events flight_dir
-      flight_size metrics_flush_every max_dumps span_cap exemplar_k slo_window
-      slo_p99_ms slo_shed_pct heap_growth_pct =
+  let run socket queue default_deadline grace allow_faults quiet refs fuel metrics_out
+      events flight_dir span_cap slo_p99_ms slo_shed_pct heap_growth_pct =
     Telemetry.reset ();
     let log = if quiet then ignore else fun m -> Printf.eprintf "vhdlc serve: %s\n%!" m in
+    let worker = Serve_worker.default_config in
     let worker =
       {
+        worker with
         Serve_worker.w_default_deadline_s = default_deadline;
-        w_max_deadline_s = Float.max default_deadline max_deadline;
+        w_max_deadline_s = Float.max default_deadline worker.Serve_worker.w_max_deadline_s;
         w_watchdog_grace_s = grace;
         w_allow_faults = allow_faults;
-        w_recycle_every = recycle_every;
         w_budgets = budgets_of fuel None;
         w_ref_libs =
           List.filter_map
@@ -1271,28 +1208,15 @@ let serve_cmd =
     let daemon =
       Serve_daemon.create
         {
-          Serve_daemon.d_socket = socket;
+          Serve_daemon.default_config with
+          d_socket = socket;
           d_queue_capacity = queue;
-          d_max_frame = max_frame;
-          d_idle_timeout_s = idle_timeout;
           d_worker = worker;
           d_metrics_out = metrics_out;
-          d_metrics_flush_ticks = metrics_flush_every;
           d_obs =
-            {
-              Obs_log.o_events_out = events;
-              o_ring_events = flight_size;
-              o_ring_requests = Obs_log.default_config.Obs_log.o_ring_requests;
-              o_flight_dir = flight_dir;
-              o_max_dumps = max_dumps;
-              o_exemplar_min_gap_s =
-                Obs_log.default_config.Obs_log.o_exemplar_min_gap_s;
-            };
-          d_slo_window_s = slo_window;
+            { Obs_log.default_config with o_events_out = events; o_flight_dir = flight_dir };
           d_slo = { Obs_slo.o_p99_ms = slo_p99_ms; o_shed_pct = slo_shed_pct };
           d_span_cap = span_cap;
-          d_exemplar_k = exemplar_k;
-          d_exemplar_min_obs = Serve_daemon.default_config.Serve_daemon.d_exemplar_min_obs;
           d_heap_growth_pct = heap_growth_pct;
           d_log = log;
         }
@@ -1307,10 +1231,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket_arg $ queue $ max_frame $ default_deadline $ max_deadline
-      $ grace $ idle_timeout $ allow_faults $ recycle_every $ quiet
-      $ ref_arg $ fuel_arg $ metrics_out_arg $ events $ flight_dir $ flight_size
-      $ metrics_flush_every $ max_dumps $ span_cap $ exemplar_k $ slo_window
+      const run $ socket_arg $ queue $ default_deadline $ grace $ allow_faults $ quiet
+      $ ref_arg $ fuel_arg $ metrics_out_arg $ events $ flight_dir $ span_cap
       $ slo_p99_ms $ slo_shed_pct $ heap_growth_pct)
 
 let request_cmd =

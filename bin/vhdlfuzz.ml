@@ -179,7 +179,7 @@ let check_chaos_obs ~events_path ~obs_dir ~max_dumps ~slo_p99_us ~hist_p99_us =
       with Sys_error _ -> []
     in
     if max_dumps > 0 && List.length dump_files > max_dumps then
-      violation "%d dump files on disk exceed the --max-dumps cap %d"
+      violation "%d dump files on disk exceed the retention cap %d"
         (List.length dump_files) max_dumps;
     (* offline analytics agree with the live window *)
     (match slo_p99_us with

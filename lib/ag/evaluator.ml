@@ -40,8 +40,12 @@ type 'v node = {
   n_line : int; (* leaves: token line; interior: first leaf's line *)
   n_children : 'v node array;
   mutable n_parent : ('v node * int) option; (* parent and our index therein *)
-  n_cache : (int, 'v cell) Hashtbl.t; (* attr id -> state *)
+  mutable n_memo : 'v slot list;
+      (* the attributes evaluated so far, newest first: at most the
+         symbol's own attributes, so a scan beats any index *)
 }
+
+and 'v slot = { s_attr : int; mutable s_cell : 'v cell }
 
 and 'v cell =
   | In_progress
@@ -57,9 +61,6 @@ type 'v t = {
   root : 'v node;
   root_inherited : (int * 'v) list;
   token_line : (int -> 'v) option; (* injects a token's LINE into 'v *)
-  (* (production, position, attribute) -> rule, built on demand: rule lookup
-     is on every attribute evaluation, so linear scans add up *)
-  rule_index : (int * int * int, 'v Grammar.rule) Hashtbl.t;
   mutable rule_applications : int; (* instrumentation for the benches *)
   fuel : int option; (* rule-application budget, None = unlimited *)
   tick : unit -> unit; (* periodic hook (deadline checks), every 256 rules *)
@@ -88,7 +89,7 @@ let rec attach grammar tree =
       n_line = line;
       n_children = [||];
       n_parent = None;
-      n_cache = Hashtbl.create 4;
+      n_memo = [];
     }
   | Tree.Node { prod; children } ->
     let kids = Array.map (attach grammar) children in
@@ -101,7 +102,7 @@ let rec attach grammar tree =
         n_line = (if Array.length kids > 0 then kids.(0).n_line else 0);
         n_children = kids;
         n_parent = None;
-        n_cache = Hashtbl.create 8;
+        n_memo = [];
       }
     in
     Array.iteri (fun i kid -> kid.n_parent <- Some (node, i)) kids;
@@ -123,7 +124,6 @@ let create ?token_line ?fuel ?(tick = fun () -> ()) ?provenance
     root;
     root_inherited;
     token_line;
-    rule_index = Hashtbl.create 256;
     rule_applications = 0;
     fuel;
     tick;
@@ -131,32 +131,20 @@ let create ?token_line ?fuel ?(tick = fun () -> ()) ?provenance
     copy_elide;
   }
 
-let find_rule t prod_id (target : Grammar.occurrence) =
-  let key = (prod_id, target.Grammar.pos, target.Grammar.attr) in
-  match Hashtbl.find_opt t.rule_index key with
-  | Some r -> r
-  | None ->
-    let p = Grammar.production t.grammar prod_id in
-    let rec scan i =
-      if i >= Array.length p.Grammar.rules then
-        raise
-          (Missing_rule
-             {
-               prod_name = p.Grammar.prod_name;
-               attr_name = Grammar.attr_name t.grammar target.Grammar.attr;
-               pos = target.Grammar.pos;
-             })
-      else
-        let r = p.Grammar.rules.(i) in
-        if r.Grammar.target.Grammar.pos = target.Grammar.pos
-           && r.Grammar.target.Grammar.attr = target.Grammar.attr
-        then begin
-          Hashtbl.replace t.rule_index key r;
-          r
-        end
-        else scan (i + 1)
-    in
-    scan 0
+(* The rule defining occurrence (pos, attr) in production [p]: a scan of
+   the production's few rules, allocating nothing. *)
+let rec scan_rules t (p : 'v Grammar.production) pos attr i =
+  if i >= Array.length p.Grammar.rules then
+    raise
+      (Missing_rule
+         { prod_name = p.Grammar.prod_name; attr_name = Grammar.attr_name t.grammar attr; pos })
+  else
+    let r = p.Grammar.rules.(i) in
+    if r.Grammar.target.Grammar.pos = pos && r.Grammar.target.Grammar.attr = attr then r
+    else scan_rules t p pos attr (i + 1)
+
+let find_rule t prod_id pos attr =
+  scan_rules t (Grammar.production t.grammar prod_id) pos attr 0
 
 let node_label t node =
   if node.n_prod >= 0 then
@@ -166,22 +154,25 @@ let node_label t node =
 (* Evaluate attribute [attr] of [node].  For synthesized attributes the
    defining rule lives in the node's own production; for inherited ones it
    lives in the parent's production (or in [root_inherited] at the root). *)
-let rec eval_node t node attr =
-  match Hashtbl.find_opt node.n_cache attr with
-  | Some (Done v) ->
+let rec eval_node t node attr = lookup t node attr node.n_memo
+
+and lookup t node attr = function
+  | slot :: rest when slot.s_attr <> attr -> lookup t node attr rest
+  | { s_cell = Done v; _ } :: _ ->
     Tm.incr m_memo_hits;
     (match t.prov with
     | Some (rc, _, _) ->
       Provenance.memo_hit rc ~node:node.n_id ~attr:(Grammar.attr_name t.grammar attr)
     | None -> ());
     v
-  | Some In_progress ->
+  | { s_cell = In_progress; _ } :: _ ->
     raise
       (Cycle
          { prod_name = node_label t node; attr_name = Grammar.attr_name t.grammar attr })
-  | None ->
+  | [] ->
     Tm.incr m_attrs_evaluated;
-    Hashtbl.replace node.n_cache attr In_progress;
+    let slot = { s_attr = attr; s_cell = In_progress } in
+    node.n_memo <- slot :: node.n_memo;
     let v =
       match t.prov with
       | None -> compute_attr t node attr
@@ -198,7 +189,7 @@ let rec eval_node t node attr =
           Provenance.abort rc r;
           raise exn)
     in
-    Hashtbl.replace node.n_cache attr (Done v);
+    slot.s_cell <- Done v;
     v
 
 and compute_attr t node attr =
@@ -209,12 +200,12 @@ and compute_attr t node attr =
   else
     match Grammar.attr_dir t.grammar attr with
     | Grammar.Synthesized ->
-      let rule = find_rule t node.n_prod { Grammar.pos = 0; attr } in
+      let rule = find_rule t node.n_prod 0 attr in
       apply_or_elide t node rule
     | Grammar.Inherited -> (
       match node.n_parent with
       | Some (parent, idx) ->
-        let rule = find_rule t parent.n_prod { Grammar.pos = idx + 1; attr } in
+        let rule = find_rule t parent.n_prod (idx + 1) attr in
         apply_or_elide t parent rule
       | None -> (
         match List.assoc_opt attr t.root_inherited with
@@ -398,16 +389,11 @@ let site_leaf_values ?(limit = 64) site =
     escaped mid-rule, so sibling regions do not see phantom cycles.
     Completed ([Done]) values are kept — they are still valid. *)
 let clear_in_progress t =
+  let in_progress slot = match slot.s_cell with In_progress -> true | Done _ -> false in
   let rec walk node =
-    let stale =
-      Hashtbl.fold
-        (fun attr cell acc ->
-          match cell with
-          | In_progress -> attr :: acc
-          | Done _ -> acc)
-        node.n_cache []
-    in
-    List.iter (Hashtbl.remove node.n_cache) stale;
+    (* only the escaped evaluation's chain is stale: rebuild just those lists *)
+    if List.exists in_progress node.n_memo then
+      node.n_memo <- List.filter (fun slot -> not (in_progress slot)) node.n_memo;
     Array.iter walk node.n_children
   in
   walk t.root

@@ -357,6 +357,36 @@ module Builder = struct
                       required := { pos = i + 1; attr = a } :: !required)
                   sym_attrs.(sym))
             rhs;
+          (* the three kinds of implicit rule an attribute class supplies
+             (paper §4.2) *)
+          let copy occ src =
+            {
+              target = occ;
+              deps = [ src ];
+              compute = (function [ v ] -> v | _ -> assert false);
+              provenance = Implicit;
+              copy_of = Some src;
+            }
+          in
+          let const occ u =
+            {
+              target = occ;
+              deps = [];
+              compute = (fun _ -> u);
+              provenance = Implicit;
+              copy_of = None;
+            }
+          in
+          (* a one-source merge is a copy: fold of one *)
+          let merge occ m u deps =
+            {
+              target = occ;
+              deps;
+              compute = (function [] -> u | v :: vs -> List.fold_left m v vs);
+              provenance = Implicit;
+              copy_of = (match deps with [ src ] -> Some src | _ -> None);
+            }
+          in
           let implicit =
             List.filter_map
               (fun occ ->
@@ -379,105 +409,29 @@ module Builder = struct
                       occs := { pos = 0; attr = occ.attr } :: !occs;
                     !occs
                   in
-                  match decl.default with
-                  | None ->
+                  match (decl.default, decl.dir) with
+                  | None, _ ->
                     ill_formed "production %s: no rule for %s of %s at position %d"
                       spec.p_name decl.attr_name
                       (Interner.name b.b_symbols (occ_sym occ.pos))
                       occ.pos
-                  | Some Copy -> (
+                  | Some Copy, _ -> (
                     match other_occurrences () with
-                    | src :: _ ->
-                      Some
-                        {
-                          target = occ;
-                          deps = [ src ];
-                          compute =
-                            (function
-                              | [ v ] -> v
-                              | _ -> assert false);
-                          provenance = Implicit;
-                          copy_of = Some src;
-                        }
+                    | src :: _ -> Some (copy occ src)
                     | [] ->
                       ill_formed
                         "production %s: copy class %s has no source occurrence for %s"
                         spec.p_name decl.attr_name
                         (Interner.name b.b_symbols (occ_sym occ.pos)))
-                  | Some (Const u) ->
-                    Some
-                      {
-                        target = occ;
-                        deps = [];
-                        compute = (fun _ -> u);
-                        provenance = Implicit;
-                        copy_of = None;
-                      }
-                  | Some (Merge (m, u)) ->
-                    if decl.dir = Inherited then (
-                      (* inherited merge class behaves as copy-down *)
-                      match other_occurrences () with
-                      | src :: _ ->
-                        Some
-                          {
-                            target = occ;
-                            deps = [ src ];
-                            compute =
-                              (function
-                                | [ v ] -> v
-                                | _ -> assert false);
-                            provenance = Implicit;
-                            copy_of = Some src;
-                          }
-                      | [] ->
-                        Some
-                          {
-                            target = occ;
-                            deps = [];
-                            compute = (fun _ -> u);
-                            provenance = Implicit;
-                            copy_of = None;
-                          })
-                    else begin
-                      let sources =
-                        List.filter (fun o -> o.pos > 0) (other_occurrences ())
-                      in
-                      match sources with
-                      | [] ->
-                        Some
-                          {
-                            target = occ;
-                            deps = [];
-                            compute = (fun _ -> u);
-                            provenance = Implicit;
-                            copy_of = None;
-                          }
-                      | [ src ] ->
-                        (* a one-source merge is a copy: fold of one *)
-                        Some
-                          {
-                            target = occ;
-                            deps = [ src ];
-                            compute =
-                              (function
-                                | [] -> u
-                                | v :: vs -> List.fold_left m v vs);
-                            provenance = Implicit;
-                            copy_of = Some src;
-                          }
-                      | deps ->
-                        Some
-                          {
-                            target = occ;
-                            deps;
-                            compute =
-                              (function
-                                | [] -> u
-                                | v :: vs -> List.fold_left m v vs);
-                            provenance = Implicit;
-                            copy_of = None;
-                          }
-                    end
+                  | Some (Const u), _ -> Some (const occ u)
+                  | Some (Merge (_, u)), Inherited -> (
+                    (* inherited merge class behaves as copy-down *)
+                    match other_occurrences () with
+                    | src :: _ -> Some (copy occ src)
+                    | [] -> Some (const occ u))
+                  | Some (Merge (m, u)), Synthesized ->
+                    (* synthesized occurrences are all on the rhs *)
+                    Some (merge occ m u (other_occurrences ()))
                 end)
               (List.rev !required)
           in

@@ -305,12 +305,15 @@ let stats_body t =
 
 (** The machine-readable stats document `vhdlc request stats --json` and
     `vhdlc top` read: ledger, queue, worker, latency percentiles, the
-    last serviced request, and the live SLO window. *)
+    last serviced request, and the live SLO window.  Its [live_words] is
+    live data after a full major collection: the heap's size moves with
+    the collector's pacing, so only the live figure tells a leak from a
+    late collection. *)
 let stats_json t =
   Tm.sample_gc ();
   let module J = Tm.Json in
   let c name = (name, J.int (Tm.counter_value name)) in
-  let st = Gc.quick_stat () in
+  let st = Gc.stat () in
   J.obj
     [
       ("uptime_s", J.float (now ()));
@@ -349,7 +352,7 @@ let stats_json t =
       ( "heap",
         J.obj
           [
-            ("live_words", J.int st.Gc.heap_words);
+            ("live_words", J.int st.Gc.live_words);
             ("top_words", J.int st.Gc.top_heap_words);
             ("allocated_words", J.float (Tm.allocated_words_now ()));
           ] );

@@ -386,6 +386,61 @@ let test_circularity_dynamic () =
   | _ -> Alcotest.fail "expected Cycle"
   | exception Evaluator.Cycle _ -> ()
 
+(* An evaluation that escapes mid-rule leaves its open attributes
+   in progress.  [clear_in_progress] drops exactly those: re-evaluating
+   sees no phantom cycle, and the sibling that had finished keeps its
+   value instead of being recomputed. *)
+let test_clear_in_progress () =
+  let open Grammar.Builder in
+  let b = create () in
+  ignore (terminal b "x");
+  ignore (terminal b "$");
+  ignore (nonterminal b "a");
+  ignore (nonterminal b "goal");
+  attr b ~sym:"goal" ~name:"out" ~dir:Grammar.Synthesized;
+  attr b ~sym:"a" ~name:"s" ~dir:Grammar.Synthesized;
+  attr b ~sym:"a" ~name:"t" ~dir:Grammar.Synthesized;
+  let s_applied = ref 0 and poisoned = ref true in
+  production b ~name:"goal" ~lhs:"goal" ~rhs:[ "a" ]
+    ~rules:
+      [
+        rule ~target:(0, "out") ~deps:[ (1, "s"); (1, "t") ] (function
+          | [ s; t ] -> I (as_i s + as_i t)
+          | _ -> assert false);
+      ];
+  production b ~name:"a_x" ~lhs:"a" ~rhs:[ "x" ]
+    ~rules:
+      [
+        rule ~target:(0, "s") ~deps:[] (fun _ ->
+            incr s_applied;
+            I 1);
+        rule ~target:(0, "t") ~deps:[ (0, "s") ] (function
+          | [ s ] -> if !poisoned then failwith "poisoned" else I (as_i s + 1)
+          | _ -> assert false);
+      ];
+  let g = freeze b ~start:"goal" in
+  let x = Grammar.find_symbol g "x" in
+  let tree =
+    Tree.node 0 [ Tree.node 1 [ Tree.leaf ~term:x ~value:(S "x") ~line:1 ] ]
+  in
+  let ev = Evaluator.create g ~root_inherited:[] tree in
+  (match Evaluator.goal ev "out" with
+  | _ -> Alcotest.fail "expected the poisoned rule to raise"
+  | exception Failure _ -> ());
+  let applied = Evaluator.rule_applications ev in
+  Alcotest.(check int) "s finished, t raised" 2 applied;
+  (match Evaluator.goal ev "out" with
+  | _ -> Alcotest.fail "expected a phantom Cycle before clearing"
+  | exception Evaluator.Cycle _ -> ());
+  Evaluator.clear_in_progress ev;
+  poisoned := false;
+  (match Evaluator.goal ev "out" with
+  | v -> Alcotest.(check int) "re-evaluates cleanly" 3 (as_i v)
+  | exception Evaluator.Cycle _ -> Alcotest.fail "phantom Cycle after clear_in_progress");
+  Alcotest.(check int) "the finished s is not recomputed" 1 !s_applied;
+  Alcotest.(check int) "only t and out are applied again" (applied + 2)
+    (Evaluator.rule_applications ev)
+
 (* ------------------------------------------------------------------ *)
 (* Builder validation *)
 
@@ -539,6 +594,8 @@ let suite =
     Alcotest.test_case "implicit rule counting" `Quick test_implicit_counts;
     Alcotest.test_case "static circularity detection" `Quick test_circularity_static;
     Alcotest.test_case "dynamic cycle detection" `Quick test_circularity_dynamic;
+    Alcotest.test_case "clear_in_progress keeps finished attributes" `Quick
+      test_clear_in_progress;
     Alcotest.test_case "reject rule for inherited lhs attribute" `Quick test_reject_bad_rule;
     Alcotest.test_case "reject missing synthesized rule" `Quick test_reject_missing_rule;
     Alcotest.test_case "reject duplicate rule" `Quick test_reject_duplicate_rule;

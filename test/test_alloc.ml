@@ -251,16 +251,17 @@ let test_run_captures_allocs () =
    one-time construction is not charged to the smaller design. *)
 let linear_region_bound = 4.5
 
-let test_region_alloc_is_linear () =
+(* exact minor-heap words of one warm compile of [expression_heavy ~n] *)
+let expression_words n =
   ignore (Vhdl_compiler.compile (Vhdl_compiler.create ()) (Workload.expression_heavy ~n:1));
-  let words n =
-    let src = Workload.expression_heavy ~n in
-    let c = Vhdl_compiler.create () in
-    let w0 = Gc.minor_words () in
-    ignore (Vhdl_compiler.compile c src);
-    Gc.minor_words () -. w0
-  in
-  let small = words 160 and large = words 640 in
+  let src = Workload.expression_heavy ~n in
+  let c = Vhdl_compiler.create () in
+  let w0 = Gc.minor_words () in
+  ignore (Vhdl_compiler.compile c src);
+  Gc.minor_words () -. w0
+
+let test_region_alloc_is_linear () =
+  let small = expression_words 160 and large = expression_words 640 in
   let ratio = large /. small in
   Printf.printf "expression_heavy minor words: n=160 %.0f, n=640 %.0f, ratio %.2f\n" small
     large ratio;
@@ -268,6 +269,22 @@ let test_region_alloc_is_linear () =
     (Printf.sprintf "4x declarations -> %.2fx words (bound %.1fx)" ratio linear_region_bound)
     true
     (ratio < linear_region_bound)
+
+(* The attribute evaluator stores each node's evaluated attributes in a
+   short list on the node and finds rules by scanning the production.  A
+   hash table per node plus a cached rule index allocated 42.5 MB on this
+   compile; the list and scan allocate 30.0 MB.  The bound keeps 10%
+   headroom over the latter, so bringing back either table fails it. *)
+let expression_160_budget_mb = 33.0
+
+let test_evaluator_alloc () =
+  let mb = expression_words 160 *. float_of_int (Sys.word_size / 8) /. 1e6 in
+  Printf.printf "expression_heavy n=160 minor allocation: %.2f MB\n" mb;
+  Alcotest.(check bool)
+    (Printf.sprintf "n=160 compile allocates %.2f MB (budget %.0f MB)" mb
+       expression_160_budget_mb)
+    true
+    (mb < expression_160_budget_mb)
 
 (* The grammars' set-up a compile pays once per process: both instances
    built and bound to their build-time tables, plus the principal plan.
@@ -309,4 +326,6 @@ let suite =
     Alcotest.test_case "declarative regions allocate linearly" `Quick
       test_region_alloc_is_linear;
     Alcotest.test_case "grammar init allocates under 8 MB" `Quick test_grammar_init_alloc;
+    Alcotest.test_case "warm n=160 compile allocates under 33 MB" `Quick
+      test_evaluator_alloc;
   ]
